@@ -28,6 +28,7 @@ from .errors import (
     OutcomeSetMismatch,
     ParseError,
     PreconditionViolated,
+    SolverError,
     UnknownLabel,
 )
 from .instrument import (

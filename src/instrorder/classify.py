@@ -15,6 +15,7 @@ import numpy as np
 from .instrument import (
     Instrument,
     State,
+    ground_state,
     is_zero_operation,
     minimal_kraus,
     partial_trace_input,
@@ -45,7 +46,7 @@ def is_indecomposable_instrument(I: Instrument, tol: Tolerance = DEFAULT_TOL) ->
     for op in I.operations:
         if is_zero_operation(op, tol):
             continue
-        if numerical_rank(op.choi_matrix, tol) != 1:
+        if len(minimal_kraus(op, tol).kraus) != 1:
             return False
     return True
 
@@ -53,8 +54,6 @@ def is_indecomposable_instrument(I: Instrument, tol: Tolerance = DEFAULT_TOL) ->
 def is_trash_and_prepare(I: Instrument, tol: Tolerance = DEFAULT_TOL):
     """If I_x(rho) = tr[rho] p_x xi_x for all x, return (p, states), else None."""
     d_in, d_out = I.dim_in, I.dim_out
-    ground = np.zeros((d_out, d_out), dtype=complex)
-    ground[0, 0] = 1.0
     p = np.empty(len(I))
     states = []
     for i, (_, op) in enumerate(I.outcomes):
@@ -65,7 +64,7 @@ def is_trash_and_prepare(I: Instrument, tol: Tolerance = DEFAULT_TOL):
             if frob_dist(C, np.zeros_like(C)) > tol.eq_abs:
                 return None
             p[i] = max(weight, 0.0)
-            states.append(State(d_out, ground))
+            states.append(ground_state(d_out))
             continue
         if frob_dist(C, np.kron(np.eye(d_in), block)) > tol.eq_abs:
             return None
@@ -79,8 +78,6 @@ def is_measure_and_prepare(I: Instrument, tol: Tolerance = DEFAULT_TOL):
     from .povm import Povm
 
     d_in, d_out = I.dim_in, I.dim_out
-    ground = np.zeros((d_out, d_out), dtype=complex)
-    ground[0, 0] = 1.0
     effects = []
     states = []
     for label, op in I.outcomes:
@@ -91,7 +88,7 @@ def is_measure_and_prepare(I: Instrument, tol: Tolerance = DEFAULT_TOL):
             if frob_dist(C, np.zeros_like(C)) > tol.eq_abs:
                 return None
             effects.append((label, np.zeros((d_in, d_in), dtype=complex)))
-            states.append(State(d_out, ground))
+            states.append(ground_state(d_out))
             continue
         xi = hermitize(partial_trace_input(C, d_in, d_out)) / weight
         if frob_dist(C, np.kron(E_t, xi)) > tol.eq_abs:
@@ -177,15 +174,16 @@ def certificate_error(I: Instrument, cert: IdentityClassCertificate) -> float:
 def is_extreme(I: Instrument, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Extremality in the convex set of instruments on I's outcome set:
     the products K_i† K_j of the pooled minimal Kraus matrices (per outcome)
-    must be linearly independent, checked via the rank of their Gram matrix."""
-    prods = []
-    for op in I.operations:
-        if is_zero_operation(op, tol):
-            continue
-        ks = minimal_kraus(op, tol).kraus
-        for Ki in ks:
-            for Kj in ks:
-                prods.append((Ki.conj().T @ Kj).reshape(-1))
+    must be linearly independent, checked via the rank of their Gram matrix.
+
+    There are Σ_x rank_x² products in the dim_in²-dimensional operator
+    space, so more than dim_in² of them are dependent without any product
+    being formed.
+    """
+    forms = [minimal_kraus(op, tol).kraus for op in I.operations if not is_zero_operation(op, tol)]
+    if sum(len(ks) ** 2 for ks in forms) > I.dim_in**2:
+        return False
+    prods = [(Ki.conj().T @ Kj).reshape(-1) for ks in forms for Ki in ks for Kj in ks]
     if not prods:
         return True
     stack = np.array(prods)
@@ -195,11 +193,15 @@ def is_extreme(I: Instrument, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def is_post_processing_clean(I: Instrument, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Nothing strictly above I in the post-processing order: holds exactly
-    when the identity-class certificate exists."""
+    when the identity-class certificate exists.
+
+    Also answers is_simulation_irreducible (any simulation of I by mixing
+    post-processed instruments must already contain I's equivalence
+    class), which coincides with the identity class too.
+    """
     return identity_class_certificate(I, tol) is not None
 
 
-def is_simulation_irreducible(I: Instrument, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Any simulation of I by mixing post-processed instruments must already
-    contain I's equivalence class; coincides with the identity class."""
-    return identity_class_certificate(I, tol) is not None
+# Simulation irreducibility and post-processing cleanness are both the
+# identity class, so one predicate serves under both names.
+is_simulation_irreducible = is_post_processing_clean

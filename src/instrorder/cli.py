@@ -1,7 +1,8 @@
 """Command line surface.
 
 Exit codes: 0 success (or true), 1 validation failure (or false), 2 usage or
-parse error, 3 question undecidable by the implemented methods.  Reports are
+parse error, 3 question undecidable by the implemented methods, 4 internal
+solver failure (no answer was reached, so neither "yes" nor "no").  Reports are
 JSON with --json and short human-readable lines otherwise; object-producing
 commands write a document with --output.
 """
@@ -20,7 +21,7 @@ from .classify import (
     is_measure_and_prepare,
     is_trash_and_prepare,
 )
-from .errors import InstrOrderError, ParseError
+from .errors import InstrOrderError, ParseError, SolverError
 from .instrument import (
     compose_post_processing,
     detailed_instrument,
@@ -355,16 +356,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
+    except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InstrOrderError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return 4
+    except (InstrOrderError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

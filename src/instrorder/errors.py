@@ -45,6 +45,10 @@ class InvalidParameters(InstrOrderError):
     """Generator parameters are out of range."""
 
 
+class SolverError(InstrOrderError, RuntimeError):
+    """An internal numerical procedure failed, so the question has no answer."""
+
+
 class ParseError(InstrOrderError):
     """A document could not be parsed; the message names the offending field."""
 

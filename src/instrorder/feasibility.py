@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import SolverError
+
 _PIVOT_TOL = 1e-11
 
 
@@ -57,7 +59,7 @@ def solve_nonnegative(
         col = T[:m, enter]
         eligible = col > _PIVOT_TOL
         if not eligible.any():
-            raise RuntimeError("phase-1 simplex became unbounded")
+            raise SolverError("phase-1 simplex became unbounded")
         # basic values are nonnegative up to rounding; clamp so that dust
         # like -1e-17 cannot win the ratio test with a negative ratio
         rhs_col = np.clip(T[:m, -1], 0.0, None)
@@ -79,7 +81,7 @@ def solve_nonnegative(
         T -= np.outer(other, T[leave])
         basis[leave] = enter
     else:
-        raise RuntimeError("phase-1 simplex iteration limit exceeded")
+        raise SolverError("phase-1 simplex iteration limit exceeded")
 
     objective = -T[m, -1]
     if objective > feas_tol:

@@ -6,11 +6,16 @@ input index with the row block: C = Σ_k vec(K_k) vec(K_k)† with
 vec(K)[i * dim_out + a] = K[a, i], so the identity channel has Choi
 Σ_ij |ii⟩⟨jj| and tracing out the output block returns the transposed
 induced effect.
+
+Operations are immutable: Kraus lists are not changed after construction,
+so each operation caches its Choi matrix and, per Tolerance, its minimal
+Kraus form (see minimal_kraus).  Every classifier and witness reads the
+Choi rank from that one cached form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -27,6 +32,7 @@ class QuantumOperation:
     dim_in: int
     dim_out: int
     kraus: list
+    _minimal: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.kraus = [np.asarray(K, dtype=complex) for K in self.kraus]
@@ -152,8 +158,13 @@ def minimal_kraus(op: QuantumOperation, tol: Tolerance = DEFAULT_TOL) -> Quantum
 
     Keeps eigenvalues above tol.rank_rel times the largest, ordered
     decreasingly, so the number of matrices equals the Choi rank.  A
-    vanishing operation collapses to a single zero matrix.
+    vanishing operation collapses to a single zero matrix.  The form is
+    computed once per operation and tolerance; later calls return the same
+    object.
     """
+    cached = op._minimal.get(tol)
+    if cached is not None:
+        return cached
     C = hermitize(op.choi_matrix)
     w, v = np.linalg.eigh(C)
     top = w.max(initial=0.0)
@@ -166,7 +177,8 @@ def minimal_kraus(op: QuantumOperation, tol: Tolerance = DEFAULT_TOL) -> Quantum
             ks.append(K)
     if not ks:
         ks = [np.zeros((op.dim_out, op.dim_in), dtype=complex)]
-    return QuantumOperation(op.dim_in, op.dim_out, ks)
+    op._minimal[tol] = QuantumOperation(op.dim_in, op.dim_out, ks)
+    return op._minimal[tol]
 
 
 def is_zero_operation(op: QuantumOperation, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -175,6 +187,39 @@ def is_zero_operation(op: QuantumOperation, tol: Tolerance = DEFAULT_TOL) -> boo
 
 def zero_operation(dim_in, dim_out) -> QuantumOperation:
     return QuantumOperation(dim_in, dim_out, [np.zeros((dim_out, dim_in), dtype=complex)])
+
+
+def routed(op: QuantumOperation, labels, label) -> Instrument:
+    """Instrument with op at label and the zero operation at every other label."""
+    zero = zero_operation(op.dim_in, op.dim_out)
+    return Instrument(op.dim_in, op.dim_out, [(l, op if l == label else zero) for l in labels])
+
+
+def complete_channel(ks, dim_in, dim_out) -> list:
+    """ks topped up to a trace-preserving channel: |0⟩⟨v| is added for every
+    eigenvector v of I - Σ K†K with eigenvalue above 1/2, which sends the
+    subspace ks leave uncovered to the first basis state.
+
+    Exact when Σ K†K is a projector, as for partial isometries; adds
+    nothing when ks is already trace preserving.
+    """
+    leftover = np.eye(dim_in, dtype=complex)
+    for K in ks:
+        leftover -= K.conj().T @ K
+    w, v = np.linalg.eigh(hermitize(leftover))
+    out = list(ks)
+    for k in np.nonzero(w > 0.5)[0]:
+        K = np.zeros((dim_out, dim_in), dtype=complex)
+        K[0] = v[:, k].conj()
+        out.append(K)
+    return out
+
+
+def ground_state(dim) -> State:
+    """The first basis state |0⟩⟨0|, prepared wherever any state will do."""
+    m = np.zeros((dim, dim), dtype=complex)
+    m[0, 0] = 1.0
+    return State(dim, m)
 
 
 def validate_state(s: State, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
@@ -379,17 +424,31 @@ def scale_operation(op: QuantumOperation, s: float) -> QuantumOperation:
     return QuantumOperation(op.dim_in, op.dim_out, [root * K for K in op.kraus])
 
 
-def mix(instruments, p) -> Instrument:
-    """Convex mixture Σ_i p_i I^i on the union of the outcome label sets."""
+def check_weights(p, components) -> np.ndarray:
+    """p as a float array, checked to hold one weight per component and to
+    form a probability distribution."""
     p = np.asarray(p, dtype=float)
-    if len(p) != len(instruments):
-        raise ValueError("one weight per instrument required")
+    if len(p) != len(components):
+        raise ValueError("one weight per component required")
     if p.min(initial=0.0) < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
         raise ValueError("weights must form a probability distribution")
+    return p
+
+
+def _mixable(instruments, p):
+    """Checked weights and the first instrument, after checking that all
+    instruments share its input and output spaces."""
+    p = check_weights(p, instruments)
     first = instruments[0]
     for J in instruments:
         if (J.dim_in, J.dim_out) != (first.dim_in, first.dim_out):
             raise DimensionMismatch("mixed instruments must share input and output spaces")
+    return p, first
+
+
+def mix(instruments, p) -> Instrument:
+    """Convex mixture Σ_i p_i I^i on the union of the outcome label sets."""
+    p, first = _mixable(instruments, p)
     labels = []
     for J in instruments:
         for l in J.labels:
@@ -413,15 +472,7 @@ def mix(instruments, p) -> Instrument:
 def tracked_mix(instruments, p) -> Instrument:
     """Mixture that remembers which instrument fired: outcome (i,x) carries
     p_i times instrument i's operation at x, with i starting at 1."""
-    p = np.asarray(p, dtype=float)
-    if len(p) != len(instruments):
-        raise ValueError("one weight per instrument required")
-    if p.min(initial=0.0) < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
-        raise ValueError("weights must form a probability distribution")
-    first = instruments[0]
-    for J in instruments:
-        if (J.dim_in, J.dim_out) != (first.dim_in, first.dim_out):
-            raise DimensionMismatch("mixed instruments must share input and output spaces")
+    p, first = _mixable(instruments, p)
     outcomes = []
     for i, (w, J) in enumerate(zip(p, instruments), start=1):
         for label, op in J.outcomes:
@@ -434,12 +485,14 @@ def luders_refinement_witness(I: Instrument, tol: Tolerance = DEFAULT_TOL):
     POVM: I_x = Φ^(x) ∘ (Lüders of A at x).
 
     Each Φ^(x) composes I's Kraus matrices with the pseudo-inverse square
-    root of the effect and routes the kernel of the effect to the first
-    basis state, which keeps the channel trace preserving.
+    root of the effect, completed to a channel by complete_channel, which
+    sends the kernel of the effect to the first basis state.  The processor
+    at x keeps its own label and kills the rest, so composing with the
+    Lüders instrument reproduces I outcome by outcome.
     """
     from .linalg import psd_support
 
-    channels = {}
+    processors = {}
     for label, op in I.outcomes:
         E = op.effect
         w, v, keep = psd_support(E, tol)
@@ -451,19 +504,6 @@ def luders_refinement_witness(I: Instrument, tol: Tolerance = DEFAULT_TOL):
             M = K @ inv_sqrt
             if np.count_nonzero(M):
                 ks.append(M)
-        ground = np.zeros(I.dim_out, dtype=complex)
-        ground[0] = 1.0
-        for i in np.nonzero(~keep)[0]:
-            ks.append(np.outer(ground, v[:, i].conj()))
-        channels[label] = QuantumOperation(I.dim_in, I.dim_out, ks)
-
-    # Each processor keeps its own label and kills the rest, so composing
-    # with the Lüders instrument reproduces I outcome by outcome.
-    processors = {}
-    for x in I.labels:
-        outcomes = [
-            (y, channels[x] if y == x else zero_operation(I.dim_in, I.dim_out))
-            for y in I.labels
-        ]
-        processors[x] = Instrument(I.dim_in, I.dim_out, outcomes)
+        channel = QuantumOperation(I.dim_in, I.dim_out, complete_channel(ks, I.dim_in, I.dim_out))
+        processors[label] = routed(channel, I.labels, label)
     return processors

@@ -25,16 +25,20 @@ from .errors import (
     NotIndecomposable,
     NotMeasureAndPrepare,
     PreconditionViolated,
+    SolverError,
 )
 from .instrument import (
     Instrument,
     QuantumOperation,
     _minimal_branches,
+    complete_channel,
     compose_post_processing,
+    detailed_instrument,
     identity_instrument,
     induced_povm,
     is_zero_operation,
     minimal_kraus,
+    routed,
     trash_and_prepare,
     zero_operation,
 )
@@ -106,29 +110,19 @@ def _checked(source, processors, target, tol) -> InstrumentWitness:
     w = _witness(source, processors, target)
     err = witness_error(source, w)
     if err > tol.eq_abs:
-        raise RuntimeError(f"witness replay missed its target by {err:.3e}")
+        raise SolverError(f"witness replay missed its target by {err:.3e}")
     return w
 
 
-def _trash_channel_op(dim_in, dim_out) -> QuantumOperation:
-    """Channel sending everything to the first basis state of the target."""
-    ground = np.zeros(dim_out, dtype=complex)
-    ground[0] = 1.0
-    ks = [np.outer(ground, np.eye(dim_in)[k]) for k in range(dim_in)]
-    return QuantumOperation(dim_in, dim_out, ks)
-
-
 def _sink(dim_in, dim_out, labels, to_label) -> Instrument:
-    """Instrument routing its whole input to one outcome as a trash channel.
+    """Instrument routing its whole input to one outcome as a trash channel,
+    which sends everything to the first basis state of the target.
 
     Used for source outcomes whose operation vanishes: any channel works
     there, since its contribution to every replay is negligible.
     """
-    outcomes = [
-        (l, _trash_channel_op(dim_in, dim_out) if l == to_label else zero_operation(dim_in, dim_out))
-        for l in labels
-    ]
-    return Instrument(dim_in, dim_out, outcomes)
+    trash = QuantumOperation(dim_in, dim_out, complete_channel([], dim_in, dim_out))
+    return routed(trash, labels, to_label)
 
 
 def witness_detailed_to_original(I: Instrument, tol: Tolerance = DEFAULT_TOL) -> InstrumentWitness:
@@ -138,15 +132,9 @@ def witness_detailed_to_original(I: Instrument, tol: Tolerance = DEFAULT_TOL) ->
     if not branches:
         raise PreconditionViolated("instrument has no nonvanishing operation")
     d = I.dim_out
-    detailed = Instrument(
-        I.dim_in, d, [(pl, QuantumOperation(I.dim_in, d, [K])) for pl, _, K in branches]
-    )
     ident = QuantumOperation(d, d, [np.eye(d)])
-    processors = {}
-    for pl, src, _ in branches:
-        outcomes = [(y, ident if y == src else zero_operation(d, d)) for y in I.labels]
-        processors[pl] = Instrument(d, d, outcomes)
-    return _checked(detailed, processors, I, tol)
+    processors = {pl: routed(ident, I.labels, src) for pl, src, _ in branches}
+    return _checked(detailed_instrument(I, tol), processors, I, tol)
 
 
 def witness_original_to_detailed(I: Instrument, tol: Tolerance = DEFAULT_TOL):
@@ -171,9 +159,7 @@ def witness_original_to_detailed(I: Instrument, tol: Tolerance = DEFAULT_TOL):
                 gap = frob_dist(ks[i][1].conj().T @ ks[j][1], np.zeros((I.dim_in, I.dim_in)))
                 if gap > tol.eq_abs:
                     return None
-    detailed = Instrument(
-        I.dim_in, d, [(pl, QuantumOperation(I.dim_in, d, [K])) for pl, _, K in branches]
-    )
+    detailed = detailed_instrument(I, tol)
     det_labels = detailed.labels
     processors = {}
     for x in I.labels:
@@ -204,8 +190,9 @@ def witness_identity_reversal(
 ) -> InstrumentWitness:
     """Channels R^(x) with Σ_x R^(x) ∘ I_x = identity, from an
     identity-class certificate: R^(x) applies the adjoints of the branch
-    isometries and funnels the remaining output subspace into the first
-    basis state of the input space."""
+    isometries, completed to a channel by complete_channel, which funnels
+    the remaining output subspace into the first basis state of the input
+    space."""
     if cert is None:
         cert = identity_class_certificate(I, tol)
         if cert is None:
@@ -213,24 +200,10 @@ def witness_identity_reversal(
     if certificate_error(I, cert) > tol.eq_abs:
         raise CertificateMismatch("certificate does not reproduce the instrument")
     d_in, d_out = I.dim_in, I.dim_out
-    ground = np.zeros(d_in, dtype=complex)
-    ground[0] = 1.0
     processors = {}
     for x in I.labels:
-        entry = cert.branches[x]
-        if not entry:
-            processors[x] = Instrument(d_out, d_in, [("0", _trash_channel_op(d_out, d_in))])
-            continue
-        ks = [V.conj().T for _, V in entry]
-        leftover = np.eye(d_out)
-        for _, V in entry:
-            leftover = leftover - V @ V.conj().T
-        w, v = np.linalg.eigh((leftover + leftover.conj().T) / 2.0)
-        for k in np.nonzero(w > 0.5)[0]:
-            ks.append(np.outer(ground, v[:, k].conj()))
-        processors[x] = Instrument(
-            d_out, d_in, [("0", QuantumOperation(d_out, d_in, ks))]
-        )
+        ks = complete_channel([V.conj().T for _, V in cert.branches[x]], d_out, d_in)
+        processors[x] = Instrument(d_out, d_in, [("0", QuantumOperation(d_out, d_in, ks))])
     return _checked(I, processors, identity_instrument(d_in), tol)
 
 
@@ -253,16 +226,49 @@ def _single_branch(op, tol):
     return minimal_kraus(op, tol).kraus[0]
 
 
+def _factor_processors(src: Instrument, tgt: Instrument, stoch, tol):
+    """Processors realizing tgt from src, and the ratios c with
+    A^src(x) = c * A^tgt(y), for indecomposable instruments whose induced
+    POVMs are linked by stoch (rows labeled by src).
+
+    On every supported pair (x, y) the single Kraus matrices factor as
+    K_x = √c U L_y through a partial isometry U; the processor at x applies
+    U†, completed to a channel, with weight stoch[x, y].
+    """
+    d_s, d_t = src.dim_out, tgt.dim_out
+    singles_t = {y: _single_branch(op, tol) for y, op in tgt.outcomes}
+    traces_t = {y: np.trace(op.effect).real for y, op in tgt.outcomes}
+    processors = {}
+    ratios = {}
+    for row, (x, op) in zip(stoch.entries, src.outcomes):
+        K = _single_branch(op, tol)
+        if K is None:
+            processors[x] = _sink(d_s, d_t, tgt.labels, tgt.labels[0])
+            continue
+        trace = np.trace(op.effect).real
+        outcomes = []
+        for s, y in zip(row, tgt.labels):
+            if s <= 1e-15 or singles_t[y] is None:
+                outcomes.append((y, zero_operation(d_s, d_t)))
+                continue
+            c = trace / traces_t[y]
+            ratios[(x, y)] = c
+            U = partial_isometry_factor(K, singles_t[y], c, tol)
+            ks = complete_channel([U.conj().T], d_s, d_t)
+            outcomes.append((y, QuantumOperation(d_s, d_t, [np.sqrt(s) * M for M in ks])))
+        processors[x] = Instrument(d_s, d_t, outcomes)
+    return processors, ratios
+
+
 def witness_indecomposable_equivalence(
     I: Instrument, J: Instrument, tol: Tolerance = DEFAULT_TOL
 ):
     """Two-way witnesses between indecomposable instruments, present exactly
     when their induced POVMs are post-processing equivalent.
 
-    On every supported pair of the equivalence's stochastic matrices the
-    single Kraus matrices factor through a partial isometry; the forward
-    processors complete the isometry's range with preparations of the first
-    basis state, the backward ones use the co-isometry directly.
+    Both directions come from _factor_processors.  When the source's output
+    space is the smaller one the partial isometry's adjoint is already an
+    isometry, and completion adds nothing.
     """
     if not is_indecomposable_instrument(I, tol):
         raise NotIndecomposable("first instrument has a Choi rank above one")
@@ -270,77 +276,12 @@ def witness_indecomposable_equivalence(
         raise NotIndecomposable("second instrument has a Choi rank above one")
     if I.dim_in != J.dim_in:
         raise DimensionMismatch("instruments measure different input spaces")
-    if I.dim_out < J.dim_out:
-        w = witness_indecomposable_equivalence(J, I, tol)
-        if w is None:
-            return None
-        return EquivalenceWitness(
-            forward=w.backward,
-            backward=w.forward,
-            stoch_forward=w.stoch_backward,
-            stoch_backward=w.stoch_forward,
-            ratios_forward=w.ratios_backward,
-            ratios_backward=w.ratios_forward,
-        )
-
-    pov_i = induced_povm(I)
-    pov_j = induced_povm(J)
-    eq = povm_equivalent(pov_i, pov_j, tol)
+    eq = povm_equivalent(induced_povm(I), induced_povm(J), tol)
     if eq is None:
         return None
     nu, mu = eq  # nu rebuilds A^I from A^J; mu rebuilds A^J from A^I
-
-    singles_i = {x: _single_branch(op, tol) for x, op in I.outcomes}
-    singles_j = {y: _single_branch(op, tol) for y, op in J.outcomes}
-    traces_i = {x: np.trace(E).real for x, E in pov_i.outcomes}
-    traces_j = {y: np.trace(E).real for y, E in pov_j.outcomes}
-    d_k, d_v = I.dim_out, J.dim_out
-    xi0 = np.zeros(d_v, dtype=complex)
-    xi0[0] = 1.0
-
-    ratios_forward = {}
-    ratios_backward = {}
-
-    forward = {}
-    for xi, x in enumerate(I.labels):
-        if singles_i[x] is None:
-            forward[x] = _sink(d_k, d_v, J.labels, J.labels[0])
-            continue
-        outcomes = []
-        for yi, y in enumerate(J.labels):
-            s = mu.entries[xi, yi]
-            if s <= 1e-15 or singles_j[y] is None:
-                outcomes.append((y, zero_operation(d_k, d_v)))
-                continue
-            c = traces_i[x] / traces_j[y]
-            ratios_forward[(x, y)] = c
-            U = partial_isometry_factor(singles_i[x], singles_j[y], c, tol)
-            root = np.sqrt(s)
-            ks = [root * U.conj().T]
-            leftover = np.eye(d_k) - U @ U.conj().T
-            w_left, v_left = np.linalg.eigh((leftover + leftover.conj().T) / 2.0)
-            for k in np.nonzero(w_left > 0.5)[0]:
-                ks.append(root * np.outer(xi0, v_left[:, k].conj()))
-            outcomes.append((y, QuantumOperation(d_k, d_v, ks)))
-        forward[x] = Instrument(d_k, d_v, outcomes)
-
-    backward = {}
-    for yi, y in enumerate(J.labels):
-        if singles_j[y] is None:
-            backward[y] = _sink(d_v, d_k, I.labels, I.labels[0])
-            continue
-        outcomes = []
-        for xi, x in enumerate(I.labels):
-            m = nu.entries[yi, xi]
-            if m <= 1e-15 or singles_i[x] is None:
-                outcomes.append((x, zero_operation(d_v, d_k)))
-                continue
-            d = traces_j[y] / traces_i[x]
-            ratios_backward[(y, x)] = d
-            V = partial_isometry_factor(singles_j[y], singles_i[x], d, tol)
-            outcomes.append((x, QuantumOperation(d_v, d_k, [np.sqrt(m) * V.conj().T])))
-        backward[y] = Instrument(d_v, d_k, outcomes)
-
+    forward, ratios_forward = _factor_processors(I, J, mu, tol)
+    backward, ratios_backward = _factor_processors(J, I, nu, tol)
     return EquivalenceWitness(
         forward=_checked(I, forward, J, tol),
         backward=_checked(J, backward, I, tol),

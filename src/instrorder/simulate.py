@@ -17,6 +17,7 @@ from .errors import DimensionMismatch, NotIsometry, OutcomeSetMismatch
 from .instrument import (
     Instrument,
     QuantumOperation,
+    check_weights,
     compose_post_processing,
     minimal_kraus,
     pair_label,
@@ -39,11 +40,7 @@ class SimulationProgram:
     processors: dict
 
     def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=float)
-        if len(self.probs) != len(self.components):
-            raise ValueError("one weight per component required")
-        if self.probs.min(initial=0.0) < -1e-12 or abs(self.probs.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must form a probability distribution")
+        self.probs = check_weights(self.probs, self.components)
 
 
 def _pad_output(I: Instrument, dim_out: int) -> Instrument:

@@ -161,6 +161,7 @@ def test_extreme_accepts_basis_luders():
 
 
 def test_clean_equals_irreducible_equals_certificate():
+    assert is_simulation_irreducible is is_post_processing_clean
     cases = [
         identity_instrument(2),
         luders(basis_pvm(2)),

@@ -13,6 +13,7 @@ from instrorder import (
     induced_povm,
     load,
     luders,
+    measure_and_prepare,
     random_instrument,
     random_povm,
     random_state,
@@ -22,7 +23,9 @@ from instrorder import (
     witness_detailed_to_original,
     witness_error,
 )
+from instrorder import cli
 from instrorder.cli import main
+from instrorder.errors import SolverError
 from instrorder.povm import proportional_inequivalent_pair
 from instrorder.serialize import document_for
 
@@ -113,6 +116,18 @@ def test_classify_identity_channel(tmp_path, capsys):
     assert report["extreme"] is True
     assert report["isometric_channel"] is True
     assert report["trash_and_prepare"] is False
+
+
+def test_classify_answers_extreme_without_forming_products(tmp_path, capsys):
+    # Choi rank 64 per outcome: 32768 products, far beyond the 64 that can
+    # be independent in the 8x8 operator space; their Gram would need 16 GiB.
+    states = [random_state(8, 50 + k) for k in range(8)]
+    I = measure_and_prepare(random_povm(8, 8, 5), states)
+    path = _write(tmp_path, "mp.json", I)
+    assert main(["classify", "--json", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["extreme"] is False
+    assert report["measure_and_prepare"] is True
 
 
 def test_classify_output_written(tmp_path, capsys):
@@ -248,6 +263,16 @@ def test_equiv_undecidable_exits_3(tmp_path, capsys):
     code = main(["equiv", _write(tmp_path, "a.json", a), _write(tmp_path, "b.json", b)])
     assert code == 3
     assert "undecidable" in capsys.readouterr().out
+
+
+def test_equiv_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise SolverError("witness replay missed its target by 1e-3")
+
+    monkeypatch.setattr(cli, "witness_indecomposable_equivalence", fail)
+    L = _write(tmp_path, "l.json", luders(basis_pvm(2)))
+    assert main(["equiv", L, L]) == 4
+    assert "missed its target" in capsys.readouterr().err
 
 
 def test_equiv_mixed_kinds_exits_2(tmp_path, capsys):

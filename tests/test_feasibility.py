@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 import scipy.optimize
 
+from instrorder.errors import SolverError
 from instrorder.feasibility import solve_nonnegative
 from instrorder.randgen import _gaussians, _uniforms
 
@@ -91,3 +93,9 @@ def test_single_variable():
     y = solve_nonnegative(A, np.array([1.0, 2.0]))
     assert y is not None and abs(y[0] - 0.5) < 1e-12
     assert solve_nonnegative(A, np.array([1.0, 3.0])) is None
+
+
+def test_iteration_limit_raises_solver_error():
+    A = np.array([[1.0, 2.0], [3.0, 1.0]])
+    with pytest.raises(SolverError):
+        solve_nonnegative(A, A @ np.array([0.5, 0.25]), max_iter=0)

@@ -28,6 +28,7 @@ from instrorder import (
     pair_label,
     random_distribution,
     random_instrument,
+    random_isometry,
     random_povm,
     random_state,
     random_unitary,
@@ -40,7 +41,8 @@ from instrorder import (
     validate_state,
     zero_operation,
 )
-from instrorder.linalg import frob_dist, numerical_rank
+from instrorder.instrument import complete_channel
+from instrorder.linalg import Tolerance, frob_dist, numerical_rank
 
 from helpers import basis_pvm
 
@@ -155,6 +157,34 @@ def test_minimal_kraus_counts_choi_rank():
     m = minimal_kraus(op)
     assert len(m.kraus) == numerical_rank(choi(op)) == 4
     assert choi_distance(op, m) < 1e-12
+
+
+def test_minimal_kraus_is_cached_per_tolerance():
+    op = depolarizing_channel().operation("0")
+    m = minimal_kraus(op)
+    assert minimal_kraus(op) is m
+    coarse = Tolerance(rank_rel=1e-4)
+    other = minimal_kraus(op, coarse)
+    assert other is not m
+    assert minimal_kraus(op, coarse) is other
+    assert minimal_kraus(op, Tolerance()) is m
+
+
+@pytest.mark.parametrize(
+    "ks, dim_in, dim_out, added",
+    [
+        ([], 3, 2, 3),
+        ([random_isometry(3, 6, seed=40).conj().T], 6, 3, 3),
+        ([random_unitary(3, seed=41)], 3, 3, 0),
+    ],
+    ids=["empty", "co-isometry", "unitary"],
+)
+def test_complete_channel_is_trace_preserving(ks, dim_in, dim_out, added):
+    out = complete_channel(ks, dim_in, dim_out)
+    assert len(out) == len(ks) + added
+    assert all(a is b for a, b in zip(out, ks))
+    total = sum(K.conj().T @ K for K in out)
+    assert frob_dist(total, np.eye(dim_in)) < 1e-12
 
 
 def test_minimal_kraus_of_zero_operation():
