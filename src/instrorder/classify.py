@@ -14,14 +14,17 @@ import numpy as np
 
 from .instrument import (
     Instrument,
+    QuantumOperation,
     State,
     ground_state,
     is_zero_operation,
     minimal_kraus,
     partial_trace_input,
     partial_trace_output,
+    zero_operation,
 )
 from .linalg import DEFAULT_TOL, Tolerance, frob_dist, hermitize, numerical_rank
+from .povm import Povm
 
 
 @dataclass(eq=False)
@@ -75,8 +78,6 @@ def is_trash_and_prepare(I: Instrument, tol: Tolerance = DEFAULT_TOL):
 
 def is_measure_and_prepare(I: Instrument, tol: Tolerance = DEFAULT_TOL):
     """If I_x(rho) = tr[A(x) rho] xi_x for all x, return the certificate."""
-    from .povm import Povm
-
     d_in, d_out = I.dim_in, I.dim_out
     effects = []
     states = []
@@ -149,8 +150,6 @@ def identity_class_certificate(I: Instrument, tol: Tolerance = DEFAULT_TOL):
 def certificate_error(I: Instrument, cert: IdentityClassCertificate) -> float:
     """Worst defect of the certificate against I: isometry and orthogonality
     defects of the branches plus Choi distance of the rebuilt operations."""
-    from .instrument import QuantumOperation, zero_operation
-
     worst = 0.0
     eye = np.eye(cert.dim_in)
     for label, op in I.outcomes:

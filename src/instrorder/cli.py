@@ -82,16 +82,7 @@ def _describe(doc: Document) -> str:
         return f"povm: {len(p)} outcomes on dimension {p.dim}"
     if doc.kind == "instrument":
         return f"instrument: {len(p)} outcomes, {p.dim_in} -> {p.dim_out}"
-    if doc.kind == "state":
-        return f"state: dimension {p.dim}"
-    if doc.kind == "witness":
-        return (
-            f"witness: {len(p.source_labels)} processors onto "
-            f"{len(p.target_labels)} outcomes"
-        )
-    if doc.kind == "program":
-        return f"program: {len(p.components)} components"
-    return "report"
+    return f"state: dimension {p.dim}"
 
 
 def _emit_object(args, obj) -> int:

@@ -21,8 +21,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, LabelMismatch, OutcomeSetMismatch, UnknownLabel
-from .linalg import DEFAULT_TOL, Tolerance, frob_dist, hermitize, is_hermitian, psd_sqrt
-from .povm import Povm, ValidationReport
+from .linalg import (
+    DEFAULT_TOL,
+    Tolerance,
+    frob_dist,
+    hermitize,
+    is_hermitian,
+    psd_sqrt,
+    psd_support,
+)
+from .povm import Povm, ValidationReport, trivial_povm
 
 
 @dataclass(eq=False)
@@ -319,8 +327,6 @@ def measure_and_prepare(A: Povm, states, tol: Tolerance = DEFAULT_TOL) -> Instru
 
 def trash_and_prepare(p, states, dim_in: int, labels=None) -> Instrument:
     """Instrument rho -> tr[rho] p_x xi_x; ignores the input entirely."""
-    from .povm import trivial_povm
-
     p = np.asarray(p, dtype=float)
     if len(p) != len(states):
         raise DimensionMismatch("one prepared state per probability required")
@@ -490,8 +496,6 @@ def luders_refinement_witness(I: Instrument, tol: Tolerance = DEFAULT_TOL):
     at x keeps its own label and kills the rest, so composing with the
     Lüders instrument reproduces I outcome by outcome.
     """
-    from .linalg import psd_support
-
     processors = {}
     for label, op in I.outcomes:
         E = op.effect

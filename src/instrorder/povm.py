@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, LabelMismatch, UnknownLabel
 from .feasibility import solve_nonnegative
-from .linalg import DEFAULT_TOL, Tolerance, frob_dist, hermitize, is_hermitian
+from .linalg import DEFAULT_TOL, Tolerance, frob_dist, hermitize, is_hermitian, numerical_rank
 
 _STOCH_TOL = 1e-12
 
@@ -228,8 +228,6 @@ def is_trivial(A: Povm, tol: Tolerance = DEFAULT_TOL):
 
 def is_indecomposable_povm(A: Povm, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when every nonvanishing effect has rank one."""
-    from .linalg import numerical_rank
-
     for E in A.effects:
         if np.trace(E).real <= tol.eq_abs:
             continue

@@ -4,13 +4,15 @@ simulation programs and reports.
 Complex numbers are stored as [re, im] pairs and matrices as row-major
 nested arrays, so documents are trivially parseable anywhere; floats print
 with shortest-round-trip precision, which keeps save/load exact.  Parsing is
-strict: unknown fields, wrong shapes and unsupported versions all raise
-ParseError naming the offending field.
+strict: unknown fields, wrong shapes, non-finite numbers (NaN, Infinity or
+values beyond the float range) and unsupported versions all raise ParseError
+naming the offending field.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +24,6 @@ from .povm import Povm
 from .simulate import SimulationProgram
 
 VERSION = 1
-
-KINDS = ("povm", "instrument", "state", "witness", "program", "report")
 
 
 @dataclass(eq=False)
@@ -51,27 +51,53 @@ def _int_field(obj, where, key, minimum=1):
     return value
 
 
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _list(obj, where, key, what="list"):
+    items = obj[key]
+    if not isinstance(items, list) or not items:
+        raise ParseError(f"{where}.{key}: expected a nonempty {what}")
+    return items
+
+
+def _entries(obj, where, key, required, label):
+    """(path, entry) for each entry of the nonempty list obj[key]; every entry
+    is an object with exactly the required keys and a string at entry[label]."""
+    out = []
+    for i, entry in enumerate(_list(obj, where, key)):
+        here = f"{where}.{key}[{i}]"
+        _require_keys(entry, here, required)
+        if not isinstance(entry[label], str):
+            raise ParseError(f"{here}.{label}: expected a string")
+        out.append((here, entry))
+    return out
+
+
 def _enc_matrix(M):
     M = np.asarray(M, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
+    return np.stack((M.real, M.imag), -1).tolist()
 
 
 def _dec_matrix(obj, rows, cols, where):
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{where}: expected {rows} rows")
-    out = np.empty((rows, cols), dtype=complex)
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{where}[{i}]: expected {cols} entries")
         for j, entry in enumerate(row):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entry)
-            ):
+            if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
                 raise ParseError(f"{where}[{i}][{j}]: expected a [re, im] pair")
-            out[i, j] = complex(entry[0], entry[1])
-    return out
+    try:
+        pairs = np.array(obj, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ParseError(f"{where}: expected finite numbers") from None
+    finite = np.isfinite(pairs).all(axis=-1)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ParseError(f"{where}[{i}][{j}]: expected finite numbers")
+    return pairs.view(complex).reshape(rows, cols)
 
 
 def _enc_povm(P: Povm):
@@ -84,15 +110,10 @@ def _enc_povm(P: Povm):
 def _dec_povm(obj, where):
     _require_keys(obj, where, ("dim", "outcomes"))
     dim = _int_field(obj, where, "dim")
-    if not isinstance(obj["outcomes"], list) or not obj["outcomes"]:
-        raise ParseError(f"{where}.outcomes: expected a nonempty list")
-    outcomes = []
-    for i, entry in enumerate(obj["outcomes"]):
-        here = f"{where}.outcomes[{i}]"
-        _require_keys(entry, here, ("label", "effect"))
-        if not isinstance(entry["label"], str):
-            raise ParseError(f"{here}.label: expected a string")
-        outcomes.append((entry["label"], _dec_matrix(entry["effect"], dim, dim, f"{here}.effect")))
+    outcomes = [
+        (entry["label"], _dec_matrix(entry["effect"], dim, dim, f"{here}.effect"))
+        for here, entry in _entries(obj, where, "outcomes", ("label", "effect"), "label")
+    ]
     return Povm(dim, outcomes)
 
 
@@ -110,19 +131,11 @@ def _dec_instrument(obj, where):
     _require_keys(obj, where, ("dim_in", "dim_out", "outcomes"))
     d_in = _int_field(obj, where, "dim_in")
     d_out = _int_field(obj, where, "dim_out")
-    if not isinstance(obj["outcomes"], list) or not obj["outcomes"]:
-        raise ParseError(f"{where}.outcomes: expected a nonempty list")
     outcomes = []
-    for i, entry in enumerate(obj["outcomes"]):
-        here = f"{where}.outcomes[{i}]"
-        _require_keys(entry, here, ("label", "kraus"))
-        if not isinstance(entry["label"], str):
-            raise ParseError(f"{here}.label: expected a string")
-        if not isinstance(entry["kraus"], list) or not entry["kraus"]:
-            raise ParseError(f"{here}.kraus: expected a nonempty list of matrices")
+    for here, entry in _entries(obj, where, "outcomes", ("label", "kraus"), "label"):
         ks = [
             _dec_matrix(K, d_out, d_in, f"{here}.kraus[{j}]")
-            for j, K in enumerate(entry["kraus"])
+            for j, K in enumerate(_list(entry, here, "kraus", "list of matrices"))
         ]
         outcomes.append((entry["label"], QuantumOperation(d_in, d_out, ks)))
     return Instrument(d_in, d_out, outcomes)
@@ -156,33 +169,22 @@ def _dec_witness(obj, where):
     labels = obj["source_labels"]
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
         raise ParseError(f"{where}.source_labels: expected a list of strings")
-    processors = {}
-    for i, entry in enumerate(obj["processors"]):
-        here = f"{where}.processors[{i}]"
-        _require_keys(entry, here, ("source", "instrument"))
-        if not isinstance(entry["source"], str):
-            raise ParseError(f"{here}.source: expected a string")
-        processors[entry["source"]] = _dec_instrument(entry["instrument"], f"{here}.instrument")
+    processors = {
+        entry["source"]: _dec_instrument(entry["instrument"], f"{here}.instrument")
+        for here, entry in _entries(obj, where, "processors", ("source", "instrument"), "source")
+    }
     if set(processors) != set(labels):
         raise ParseError(f"{where}.processors: must cover exactly the source labels")
-    target_labels = []
+    targets = _entries(obj, where, "targets", ("label", "choi"), "label")
     target_chois = {}
-    for i, entry in enumerate(obj["targets"]):
-        here = f"{where}.targets[{i}]"
-        _require_keys(entry, here, ("label", "choi"))
-        if not isinstance(entry["label"], str):
-            raise ParseError(f"{here}.label: expected a string")
+    for here, entry in targets:
         # Choi matrices are square; infer the side length from the rows.
-        rows = entry["choi"]
-        if not isinstance(rows, list) or not rows:
-            raise ParseError(f"{here}.choi: expected a nonempty matrix")
-        side = len(rows)
-        target_labels.append(entry["label"])
-        target_chois[entry["label"]] = _dec_matrix(rows, side, side, f"{here}.choi")
+        side = len(_list(entry, here, "choi", "matrix"))
+        target_chois[entry["label"]] = _dec_matrix(entry["choi"], side, side, f"{here}.choi")
     return InstrumentWitness(
         source_labels=list(labels),
         processors=processors,
-        target_labels=target_labels,
+        target_labels=[entry["label"] for _, entry in targets],
         target_chois=target_chois,
     )
 
@@ -200,23 +202,20 @@ def _enc_program(p: SimulationProgram):
 
 def _dec_program(obj, where):
     _require_keys(obj, where, ("components", "probs", "processors"))
-    if not isinstance(obj["components"], list) or not obj["components"]:
-        raise ParseError(f"{where}.components: expected a nonempty list")
     components = [
-        _dec_instrument(c, f"{where}.components[{i}]") for i, c in enumerate(obj["components"])
+        _dec_instrument(c, f"{where}.components[{i}]")
+        for i, c in enumerate(_list(obj, where, "components"))
     ]
     probs = obj["probs"]
-    if not isinstance(probs, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in probs
-    ):
+    if not isinstance(probs, list) or not all(map(_is_number, probs)):
         raise ParseError(f"{where}.probs: expected a list of numbers")
+    # Exact comparison, so NaN, infinities and integers past the float range fail.
+    if not all(abs(v) <= sys.float_info.max for v in probs):
+        raise ParseError(f"{where}.probs: expected finite numbers")
     processors = {}
-    for i, entry in enumerate(obj["processors"]):
-        here = f"{where}.processors[{i}]"
-        _require_keys(entry, here, ("component", "outcome", "instrument"))
+    required = ("component", "outcome", "instrument")
+    for here, entry in _entries(obj, where, "processors", required, "outcome"):
         comp = _int_field(entry, here, "component", minimum=0)
-        if not isinstance(entry["outcome"], str):
-            raise ParseError(f"{here}.outcome: expected a string")
         if comp >= len(components):
             raise ParseError(f"{here}.component: no component {comp}")
         processors[(comp, entry["outcome"])] = _dec_instrument(
@@ -228,77 +227,65 @@ def _dec_program(obj, where):
         raise ParseError(f"{where}: {exc}") from None
 
 
+def _enc_report(report: dict):
+    return {"report": report}
+
+
+def _dec_report(obj, where):
+    _require_keys(obj, where, ("report",))
+    if not isinstance(obj["report"], dict):
+        raise ParseError(f"{where}.report: expected an object")
+    return obj["report"]
+
+
+# kind -> (payload type, encoder to the body fields, decoder from them)
+_FORMATS = {
+    "povm": (Povm, _enc_povm, _dec_povm),
+    "instrument": (Instrument, _enc_instrument, _dec_instrument),
+    "state": (State, _enc_state, _dec_state),
+    "witness": (InstrumentWitness, _enc_witness, _dec_witness),
+    "program": (SimulationProgram, _enc_program, _dec_program),
+    "report": (dict, _enc_report, _dec_report),
+}
+
+KINDS = tuple(_FORMATS)
+
+
 def document_for(obj) -> Document:
     """Wrap a domain object in a Document, inferring the kind."""
-    if isinstance(obj, Povm):
-        return Document("povm", obj)
-    if isinstance(obj, Instrument):
-        return Document("instrument", obj)
-    if isinstance(obj, State):
-        return Document("state", obj)
-    if isinstance(obj, InstrumentWitness):
-        return Document("witness", obj)
-    if isinstance(obj, SimulationProgram):
-        return Document("program", obj)
-    if isinstance(obj, dict):
-        return Document("report", obj)
+    for kind, (payload_type, _, _) in _FORMATS.items():
+        if isinstance(obj, payload_type):
+            return Document(kind, obj)
     raise TypeError(f"no document kind for {type(obj).__name__}")
 
 
 def encode(doc: Document) -> dict:
-    body = {"kind": doc.kind, "version": doc.version}
-    if doc.kind == "povm":
-        body.update(_enc_povm(doc.payload))
-    elif doc.kind == "instrument":
-        body.update(_enc_instrument(doc.payload))
-    elif doc.kind == "state":
-        body.update(_enc_state(doc.payload))
-    elif doc.kind == "witness":
-        body.update(_enc_witness(doc.payload))
-    elif doc.kind == "program":
-        body.update(_enc_program(doc.payload))
-    elif doc.kind == "report":
-        body["report"] = doc.payload
-    else:
+    if doc.kind not in _FORMATS:
         raise ValueError(f"unknown document kind {doc.kind!r}")
-    return body
+    return {"kind": doc.kind, "version": doc.version, **_FORMATS[doc.kind][1](doc.payload)}
 
 
 def decode(obj) -> Document:
     if not isinstance(obj, dict):
         raise ParseError("document: expected a JSON object")
-    if "kind" not in obj:
-        raise ParseError("document: missing field 'kind'")
-    if "version" not in obj:
-        raise ParseError("document: missing field 'version'")
+    for key in ("kind", "version"):
+        if key not in obj:
+            raise ParseError(f"document: missing field '{key}'")
     if obj["version"] != VERSION:
         raise ParseError(f"document.version: unsupported version {obj['version']!r}")
     kind = obj["kind"]
-    if kind not in KINDS:
+    if kind not in _FORMATS:
         raise ParseError(f"document.kind: unknown kind {kind!r}")
     rest = {k: v for k, v in obj.items() if k not in ("kind", "version")}
-    where = kind
-    if kind == "povm":
-        return Document(kind, _dec_povm(rest, where))
-    if kind == "instrument":
-        return Document(kind, _dec_instrument(rest, where))
-    if kind == "state":
-        return Document(kind, _dec_state(rest, where))
-    if kind == "witness":
-        return Document(kind, _dec_witness(rest, where))
-    if kind == "program":
-        return Document(kind, _dec_program(rest, where))
-    _require_keys(rest, where, ("report",))
-    if not isinstance(rest["report"], dict):
-        raise ParseError("report.report: expected an object")
-    return Document(kind, rest["report"])
+    return Document(kind, _FORMATS[kind][2](rest, kind))
 
 
 def save(doc: Document, path) -> None:
     if not isinstance(doc, Document):
         doc = document_for(doc)
+    body = encode(doc)  # before open, so a failed encode leaves the file intact
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(encode(doc), fh, indent=2)
+        json.dump(body, fh, indent=2)
         fh.write("\n")
 
 

@@ -27,7 +27,7 @@ from instrorder import cli
 from instrorder.cli import main
 from instrorder.errors import SolverError
 from instrorder.povm import proportional_inequivalent_pair
-from instrorder.serialize import document_for
+from instrorder.serialize import document_for, encode
 
 from helpers import basis_pvm
 
@@ -54,8 +54,6 @@ def test_validate_good_povm(tmp_path, capsys):
 
 def test_validate_bad_povm_exits_1(tmp_path, capsys):
     good = random_povm(2, 2, 2)
-    from instrorder.serialize import encode
-
     obj = encode(document_for(good))
     obj["outcomes"][0]["effect"][0][0] = [2.0, 0.0]  # breaks completeness
     path = tmp_path / "bad.json"
@@ -205,6 +203,41 @@ def test_simulate_command(tmp_path):
     want = simulate(prog)
     for x in want.labels:
         assert np.abs(choi(got.operation(x)) - choi(want.operation(x))).max() < 1e-12
+
+
+def _malformed_list_case(tmp_path, command):
+    # a document whose list field holds a number, and the argv that loads it
+    L = luders(basis_pvm(2))
+    bad = tmp_path / "bad.json"
+    if command == "compose":
+        doc = {"kind": "witness", "version": 1, "source_labels": ["0", "1"],
+               "processors": 5, "targets": []}
+        argv = ["compose", _write(tmp_path, "L.json", L), "--processors", str(bad)]
+    else:
+        component = {k: v for k, v in encode(document_for(L)).items() if k not in ("kind", "version")}
+        doc = {"kind": "program", "version": 1, "components": [component], "probs": [1.0],
+               "processors": 3}
+        argv = ["simulate", str(bad)]
+    bad.write_text(json.dumps(doc))
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command, field", [("compose", "witness.processors"), ("simulate", "program.processors")]
+)
+def test_malformed_list_field_exits_2(tmp_path, capsys, command, field):
+    assert main(_malformed_list_case(tmp_path, command)) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_validate_rejects_nan_kraus_entry(tmp_path, capsys):
+    obj = encode(document_for(luders(basis_pvm(2))))
+    obj["outcomes"][0]["kraus"][0][0][0] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(obj))  # json writes the bare token NaN
+    assert "NaN" in path.read_text()
+    assert main(["validate", str(path)]) == 2
+    assert "kraus[0][0][0]: expected finite numbers" in capsys.readouterr().err
 
 
 def test_equiv_rejects_proportional_pair(tmp_path, capsys):

@@ -13,10 +13,11 @@ from instrorder import (
     random_povm,
     random_state,
     save,
+    State,
     trash_and_prepare,
     witness_detailed_to_original,
 )
-from instrorder.serialize import Document, decode, document_for, encode
+from instrorder.serialize import KINDS, Document, decode, document_for, encode
 
 from helpers import basis_pvm
 
@@ -180,3 +181,136 @@ def test_document_for_rejects_unknown_type():
 def test_encode_rejects_unknown_kind():
     with pytest.raises(ValueError):
         encode(Document("frame", {}))
+
+
+def _program():
+    # two components with different Kraus counts; each processor prepares a state
+    components = [luders(basis_pvm(2)), random_instrument(2, 2, 2, 2, 3)]
+    procs = {
+        (i, x): trash_and_prepare([0.25, 0.75], [random_state(2, 60 + i), random_state(2, 61)], 2)
+        for i, c in enumerate(components)
+        for x in c.labels
+    }
+    return SimulationProgram(components, [0.5, 0.5], procs)
+
+
+SAMPLES = {
+    "povm": lambda: random_povm(3, 3, 4),
+    "instrument": lambda: random_instrument(2, 2, 3, 2, 6),
+    "state": lambda: random_state(3, 8),
+    "witness": lambda: witness_detailed_to_original(random_instrument(2, 2, 2, 2, seed=5)),
+    "program": _program,
+    "report": lambda: {"command": "classify", "ok": True, "nested": {"a": [1, 2.5, None, "x"]}},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_save_load_save_is_byte_identical(tmp_path, kind):
+    doc = document_for(SAMPLES[kind]())
+    assert doc.kind == kind
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save(doc, first)
+    save(load(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+TINY_STATE_TEXT = """{
+  "kind": "state",
+  "version": 1,
+  "dim": 2,
+  "matrix": [
+    [
+      [
+        0.5,
+        0.0
+      ],
+      [
+        -0.0,
+        -0.25
+      ]
+    ],
+    [
+      [
+        0.0,
+        0.25
+      ],
+      [
+        0.5,
+        0.0
+      ]
+    ]
+  ]
+}
+"""
+
+
+def test_state_document_text_is_pinned(tmp_path):
+    # [re, im] pairs, row-major rows, indent=2, the sign of zero kept
+    path = tmp_path / "tiny.json"
+    save(State(2, np.array([[0.5, -0.25j], [0.25j, 0.5]])), path)
+    assert path.read_text() == TINY_STATE_TEXT
+    assert load(path).payload.matrix.tobytes() == np.array([[0.5, -0.25j], [0.25j, 0.5]]).tobytes()
+
+
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_rejects_non_finite_matrix_entry(tmp_path, number):
+    # the imaginary part of entry [1][0]; entry [0][1] holds -0.25
+    text = TINY_STATE_TEXT.replace(" 0.25\n", f" {number}\n")
+    assert text.count(number) == 1
+    path = tmp_path / "nonfinite.json"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=r"state\.matrix\[1\]\[0\]: expected finite numbers"):
+        load(path)
+
+
+def test_rejects_integer_beyond_float_range():
+    obj = encode(document_for(random_state(2, 3)))
+    obj["matrix"][0][1] = [10**400, 0]
+    with pytest.raises(ParseError, match=r"state\.matrix: expected finite numbers"):
+        decode(obj)
+
+
+@pytest.mark.parametrize(
+    "number",
+    [float("nan"), float("inf"), -float("inf"), 10**400],
+    ids=["nan", "inf", "-inf", "int-past-float-range"],
+)
+def test_rejects_non_finite_probs(number):
+    obj = encode(document_for(_program()))
+    obj["probs"][1] = number
+    with pytest.raises(ParseError, match=r"program\.probs: expected finite numbers"):
+        decode(obj)
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [
+        ("povm", "outcomes"),
+        ("instrument", "outcomes"),
+        ("witness", "processors"),
+        ("witness", "targets"),
+        ("program", "components"),
+        ("program", "processors"),
+    ],
+)
+@pytest.mark.parametrize("value", [5, []], ids=["number", "empty"])
+def test_rejects_malformed_list_field(kind, field, value):
+    obj = encode(document_for(SAMPLES[kind]()))
+    obj[field] = value
+    with pytest.raises(ParseError, match=rf"{kind}\.{field}: expected a nonempty list"):
+        decode(obj)
+
+
+def test_rejects_kraus_that_is_not_a_list():
+    obj = encode(document_for(SAMPLES["instrument"]()))
+    obj["outcomes"][1]["kraus"] = 7
+    with pytest.raises(ParseError, match=r"outcomes\[1\]\.kraus: expected a nonempty list of matrices"):
+        decode(obj)
+
+
+def test_failed_save_keeps_the_old_file(tmp_path):
+    path = tmp_path / "keep.json"
+    path.write_text("old contents\n")
+    with pytest.raises(ValueError):
+        save(Document("frame", {}), path)
+    assert path.read_text() == "old contents\n"
