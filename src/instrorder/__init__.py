@@ -104,7 +104,6 @@ from .simulate import (
     is_isometric_channel,
     isometric_channel,
     simulate,
-    simulate_direct,
 )
 
 __version__ = "0.1.0"

@@ -1,9 +1,14 @@
 """Dense linear feasibility: find x ≥ 0 with A x = b.
 
-A self-contained phase-1 simplex.  One artificial variable per row; the
-entering column is the first with a negative reduced cost (deterministic),
-the leaving row is the stablest pivot among near-minimum ratios.  Problems
-here are tiny (a few hundred variables at most), so a dense tableau is fine.
+A self-contained phase-1 simplex that starts from one artificial variable
+per row.  The tableau is [B⁻¹A | B⁻¹b] plus the objective row: (m+1)×(n+1)
+cells.  The artificial columns (B⁻¹ itself) are not stored: artificials
+never re-enter the basis and x is read from the last column, so nothing
+reads them.  A Farkas dual would solve Bᵀy = c_B once, on the final basis
+columns of [A | I].  The entering column is the first with a negative
+reduced cost (deterministic); the leaving row is the stablest pivot among
+near-minimum ratios.  The largest problems, from find_post_processing at
+d=8 with 16 → 16 outcomes, have 256 variables × 1040 rows.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ import numpy as np
 
 from .errors import SolverError
 
-_PIVOT_TOL = 1e-11
+_PIVOT_TOL = 1e-11  # float64 rounding on the tableau's scale, not a Tolerance
 
 
 def solve_nonnegative(
@@ -34,27 +39,23 @@ def solve_nonnegative(
     A = A * flip[:, None]
     b = b * flip
 
-    # Tableau [B⁻¹A | B⁻¹I | B⁻¹b] plus the phase-1 objective row.  With the
+    # Tableau [B⁻¹A | B⁻¹b] plus the phase-1 objective row.  With the
     # artificial basis the reduced costs of the x-columns are -colsum(A).
-    T = np.zeros((m + 1, n + m + 1))
+    T = np.zeros((m + 1, n + 1))
     T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
     T[:m, -1] = b
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
 
     for _ in range(max_iter):
         if -T[m, -1] <= feas_tol:
             break  # already within tolerance; pivoting on leftover dust
             # would divide rounding noise by near-zero pivot elements
-        enter = -1
-        for j in range(n):  # artificials never re-enter
-            if T[m, j] < -_PIVOT_TOL:
-                enter = j
-                break
-        if enter < 0:
+        negative = np.flatnonzero(T[m, :n] < -_PIVOT_TOL)
+        if negative.size == 0:
             break
+        enter = negative[0]
 
         col = T[:m, enter]
         eligible = col > _PIVOT_TOL
@@ -66,13 +67,12 @@ def solve_nonnegative(
         ratios = np.where(eligible, rhs_col / np.where(eligible, col, 1.0), np.inf)
         best = ratios.min()
         # among near-minimum-ratio rows pivot on the largest column entry;
-        # the slack groups rounding-level ties, the size rule keeps the
-        # update stable, the index rule keeps the choice deterministic
+        # the slack groups rounding-level ties (float64 noise, so not a
+        # Tolerance), the size rule keeps the update stable, the index
+        # rule (smallest basis index) keeps the choice deterministic
         slack = best + 1e-13 * (1.0 + best)
-        leave = max(
-            (i for i in range(m) if eligible[i] and ratios[i] <= slack),
-            key=lambda i: (col[i], -basis[i]),
-        )
+        rows = np.flatnonzero(eligible & (ratios <= slack))
+        leave = rows[np.lexsort((basis[rows], -col[rows]))[0]]
 
         piv = T[leave, enter]
         T[leave] /= piv
@@ -87,8 +87,7 @@ def solve_nonnegative(
     if objective > feas_tol:
         return None
     x = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = T[i, -1]
+    real = basis < n
+    x[basis[real]] = T[:m, -1][real]
     np.clip(x, 0.0, None, out=x)
     return x

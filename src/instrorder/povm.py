@@ -16,6 +16,8 @@ from .errors import DimensionMismatch, LabelMismatch, UnknownLabel
 from .feasibility import solve_nonnegative
 from .linalg import DEFAULT_TOL, Tolerance, frob_dist, hermitize, is_hermitian, numerical_rank
 
+# Not a Tolerance field: StochasticMatrix takes no tolerance, and this slack
+# only absorbs float64 rounding in its entries and row sums.
 _STOCH_TOL = 1e-12
 
 
@@ -189,7 +191,7 @@ def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
     sol = solve_nonnegative(M, rhs, feas_tol=(n_a + n_b) * tol.eq_abs)
     if sol is None:
         return None
-    entries = np.clip(sol.reshape(n_a, n_b), 0.0, None)
+    entries = sol.reshape(n_a, n_b)  # already ≥ 0
     entries /= entries.sum(axis=1, keepdims=True)
     nu = StochasticMatrix(A.labels, B.labels, entries)
     if max_effect_distance(apply_post_processing(A, nu), B) > tol.eq_abs:

@@ -75,6 +75,15 @@ def _entries(obj, where, key, required, label):
     return out
 
 
+def _unique(labeled):
+    """Raise ParseError at the first (path, label) whose label came before."""
+    seen = set()
+    for path, label in labeled:
+        if label in seen:
+            raise ParseError(f"{path}: duplicate label {label!r}")
+        seen.add(label)
+
+
 def _enc_matrix(M):
     M = np.asarray(M, dtype=complex)
     return np.stack((M.real, M.imag), -1).tolist()
@@ -169,13 +178,17 @@ def _dec_witness(obj, where):
     labels = obj["source_labels"]
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
         raise ParseError(f"{where}.source_labels: expected a list of strings")
+    _unique((f"{where}.source_labels[{i}]", l) for i, l in enumerate(labels))
+    entries = _entries(obj, where, "processors", ("source", "instrument"), "source")
+    _unique((f"{here}.source", entry["source"]) for here, entry in entries)
     processors = {
         entry["source"]: _dec_instrument(entry["instrument"], f"{here}.instrument")
-        for here, entry in _entries(obj, where, "processors", ("source", "instrument"), "source")
+        for here, entry in entries
     }
     if set(processors) != set(labels):
         raise ParseError(f"{where}.processors: must cover exactly the source labels")
     targets = _entries(obj, where, "targets", ("label", "choi"), "label")
+    _unique((f"{here}.label", entry["label"]) for here, entry in targets)
     target_chois = {}
     for here, entry in targets:
         # Choi matrices are square; infer the side length from the rows.

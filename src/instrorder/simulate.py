@@ -116,30 +116,3 @@ def is_isometric_channel(I: Instrument, tol: Tolerance = DEFAULT_TOL) -> bool:
         return False
     V = op.kraus[0]
     return frob_dist(V.conj().T @ V, np.eye(I.dim_in)) <= tol.eq_abs
-
-
-def simulate_direct(program: SimulationProgram) -> Instrument:
-    """Same result as simulate, assembled outcome by outcome without the
-    intermediate tracked mixture; used as a cross-check."""
-    comps = program.components
-    ref = next(iter(program.processors.values()))
-    outcomes = []
-    for y in ref.labels:
-        ks = []
-        for i, (w, comp) in enumerate(zip(program.probs, comps)):
-            if w <= 0.0:
-                continue
-            root = np.sqrt(w)
-            for x, op in comp.outcomes:
-                R = program.processors[(i, x)]
-                if R.labels != ref.labels:
-                    raise OutcomeSetMismatch("processors must share one outcome label sequence")
-                for Rk in R.operation(y).kraus:
-                    for K in op.kraus:
-                        prod = root * (Rk @ K)
-                        if np.count_nonzero(prod):
-                            ks.append(prod)
-        if not ks:
-            ks = [np.zeros((ref.dim_out, comps[0].dim_in), dtype=complex)]
-        outcomes.append((y, QuantumOperation(comps[0].dim_in, ref.dim_out, ks)))
-    return Instrument(comps[0].dim_in, ref.dim_out, outcomes)

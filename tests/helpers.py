@@ -3,8 +3,10 @@ import numpy as np
 
 from instrorder import (
     Instrument,
+    OutcomeSetMismatch,
     Povm,
     QuantumOperation,
+    SimulationProgram,
     StochasticMatrix,
     compose_post_processing,
     luders,
@@ -114,3 +116,30 @@ def weighted_rank1_pair(d, seed):
     b = [(str(k), (1.0 / 3.0) * P) for k, P in enumerate(rays[:d])]
     b += [(str(k + d), (2.0 / 3.0) * P) for k, P in enumerate(rays[d:])]
     return Povm(d, a), Povm(d, b)
+
+
+def simulate_direct(program: SimulationProgram) -> Instrument:
+    """Same result as simulate, assembled outcome by outcome without the
+    intermediate tracked mixture; used as a cross-check."""
+    comps = program.components
+    ref = next(iter(program.processors.values()))
+    outcomes = []
+    for y in ref.labels:
+        ks = []
+        for i, (w, comp) in enumerate(zip(program.probs, comps)):
+            if w <= 0.0:
+                continue
+            root = np.sqrt(w)
+            for x, op in comp.outcomes:
+                R = program.processors[(i, x)]
+                if R.labels != ref.labels:
+                    raise OutcomeSetMismatch("processors must share one outcome label sequence")
+                for Rk in R.operation(y).kraus:
+                    for K in op.kraus:
+                        prod = root * (Rk @ K)
+                        if np.count_nonzero(prod):
+                            ks.append(prod)
+        if not ks:
+            ks = [np.zeros((ref.dim_out, comps[0].dim_in), dtype=complex)]
+        outcomes.append((y, QuantumOperation(comps[0].dim_in, ref.dim_out, ks)))
+    return Instrument(comps[0].dim_in, ref.dim_out, outcomes)

@@ -230,6 +230,17 @@ def test_malformed_list_field_exits_2(tmp_path, capsys, command, field):
     assert field in capsys.readouterr().err
 
 
+def test_compose_rejects_witness_with_duplicate_processor(tmp_path, capsys):
+    I = random_instrument(2, 2, 2, 2, seed=5)
+    obj = encode(document_for(witness_detailed_to_original(I)))
+    obj["processors"].append(obj["processors"][0])
+    bad = tmp_path / "W.json"
+    bad.write_text(json.dumps(obj))
+    argv = ["compose", _write(tmp_path, "D.json", detailed_instrument(I)), "--processors", str(bad)]
+    assert main(argv) == 2
+    assert "witness.processors[4].source: duplicate label" in capsys.readouterr().err
+
+
 def test_validate_rejects_nan_kraus_entry(tmp_path, capsys):
     obj = encode(document_for(luders(basis_pvm(2))))
     obj["outcomes"][0]["kraus"][0][0][0] = [float("nan"), 0.0]

@@ -99,3 +99,82 @@ def test_iteration_limit_raises_solver_error():
     A = np.array([[1.0, 2.0], [3.0, 1.0]])
     with pytest.raises(SolverError):
         solve_nonnegative(A, A @ np.array([0.5, 0.25]), max_iter=0)
+
+
+@pytest.mark.parametrize(
+    "A, b, vertex",
+    [
+        # two rows tie at the minimum ratio; the larger column entry leaves
+        # (pivoting on the smaller one ends at [0.4, 0.2, 0, 0, 1.6])
+        (
+            [[2, 1, 1, 1, 0], [1, 0, 2, 0, 1], [0, 2, 1, 2, 1]],
+            [1, 2, 2],
+            [0, 1 / 3, 2 / 3, 0, 2 / 3],
+        ),
+        # ratio and column entry tie too; the smaller basis index leaves
+        # (the larger one ends at [1.375, 0, 0.125, 0.25])
+        (
+            [[1, 0, 1, 2], [2, 2, 2, 0], [2, 1, 0, 1]],
+            [2, 3, 3],
+            [1, 0.5, 0, 0.5],
+        ),
+    ],
+    ids=["largest-entry", "smallest-index"],
+)
+def test_ratio_test_tie_breaks(A, b, vertex):
+    x = solve_nonnegative(np.array(A, dtype=float), np.array(b, dtype=float))
+    assert np.allclose(x, vertex, rtol=0.0, atol=1e-12)
+
+
+def _full_tableau_solve(A, b, feas_tol=1e-9, pivot_tol=1e-11):
+    # reference: the tableau [B⁻¹A | B⁻¹ | B⁻¹b] with the artificial block
+    # kept and updated, and both pivot rules written as loops
+    m, n = A.shape
+    flip = np.where(b < 0, -1.0, 1.0)
+    A, b = A * flip[:, None], b * flip
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n], T[:m, n : n + m], T[:m, -1] = A, np.eye(m), b
+    T[m, :n], T[m, -1] = -A.sum(axis=0), -b.sum()
+    basis = list(range(n, n + m))
+    while -T[m, -1] > feas_tol:
+        enter = next((j for j in range(n) if T[m, j] < -pivot_tol), None)
+        if enter is None:
+            break
+        col = T[:m, enter]
+        eligible = col > pivot_tol
+        rhs_col = np.clip(T[:m, -1], 0.0, None)
+        ratios = np.where(eligible, rhs_col / np.where(eligible, col, 1.0), np.inf)
+        slack = ratios.min() + 1e-13 * (1.0 + ratios.min())
+        leave = max(
+            (i for i in range(m) if eligible[i] and ratios[i] <= slack),
+            key=lambda i: (col[i], -basis[i]),
+        )
+        T[leave] /= T[leave, enter]
+        other = T[:, enter].copy()
+        other[leave] = 0.0
+        T -= np.outer(other, T[leave])
+        basis[leave] = enter
+    if -T[m, -1] > feas_tol:
+        return None
+    x = np.zeros(n)
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = T[i, -1]
+    return np.clip(x, 0.0, None)
+
+
+def test_matches_full_tableau_bitwise():
+    for seed in range(240):
+        m = 2 + seed % 6
+        n = 1 + seed % 9
+        if seed % 3 == 0:  # small integers make ratio and size ties common
+            A = np.floor(3.0 * _uniforms(seed, m * n)).reshape(m, n)
+            b = np.floor(3.0 * _uniforms(seed + 1, m))
+        else:
+            A = _gaussians(seed, m * n).reshape(m, n)
+            b = A @ _uniforms(seed + 1, n) if seed % 3 == 1 else _gaussians(seed + 2, m)
+        x = solve_nonnegative(A, b)
+        ref = _full_tableau_solve(A, b)
+        assert (x is None) == (ref is None)
+        if ref is not None:
+            assert x.tobytes() == ref.tobytes()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -314,3 +315,18 @@ def test_failed_save_keeps_the_old_file(tmp_path):
     with pytest.raises(ValueError):
         save(Document("frame", {}), path)
     assert path.read_text() == "old contents\n"
+
+
+@pytest.mark.parametrize(
+    "field, index, path, label",
+    [
+        ("source_labels", 0, r"source_labels\[4\]", "(1,0)"),
+        ("processors", 0, r"processors\[4\]\.source", "(1,0)"),
+        ("targets", 1, r"targets\[2\]\.label", "1"),
+    ],
+)
+def test_rejects_duplicate_witness_label(field, index, path, label):
+    obj = encode(document_for(SAMPLES["witness"]()))
+    obj[field].append(obj[field][index])
+    with pytest.raises(ParseError, match=rf"witness\.{path}: duplicate label '{re.escape(label)}'"):
+        decode(obj)

@@ -20,13 +20,12 @@ from instrorder import (
     random_isometry,
     random_state,
     simulate,
-    simulate_direct,
     trash_and_prepare,
     validate_instrument,
     witness_identity_reversal,
 )
 
-from helpers import basis_pvm, random_identity_class_instrument
+from helpers import basis_pvm, random_identity_class_instrument, simulate_direct
 
 
 def _identity_processors(I):
