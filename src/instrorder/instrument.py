@@ -108,6 +108,8 @@ class Instrument:
                 )
             checked.append((str(label), op))
         self.outcomes = checked
+        # reversed, so that a repeated label finds its first outcome
+        self._by_label = dict(reversed(checked))
 
     @property
     def labels(self):
@@ -118,10 +120,10 @@ class Instrument:
         return [op for _, op in self.outcomes]
 
     def operation(self, label):
-        for known, op in self.outcomes:
-            if known == label:
-                return op
-        raise UnknownLabel(f"no outcome labeled {label!r}")
+        try:
+            return self._by_label[label]
+        except KeyError:
+            raise UnknownLabel(f"no outcome labeled {label!r}") from None
 
     def __len__(self):
         return len(self.outcomes)

@@ -3,7 +3,7 @@
 A POVM here is an ordered list of (label, effect) pairs on a fixed
 finite-dimensional space.  B is a post-processing of A when there is a
 row-stochastic matrix ν with B(y) = Σ_x ν_xy A(x); deciding that is a linear
-feasibility problem over the real vectorizations of the effects.
+feasibility problem, posed in coordinates of the span of A's effects.
 """
 
 from __future__ import annotations
@@ -32,6 +32,8 @@ class Povm:
         self.outcomes = [
             (str(label), np.asarray(effect, dtype=complex)) for label, effect in self.outcomes
         ]
+        # reversed, so that a repeated label finds its first outcome
+        self._by_label = dict(reversed(self.outcomes))
 
     @property
     def labels(self):
@@ -42,10 +44,10 @@ class Povm:
         return [effect for _, effect in self.outcomes]
 
     def effect(self, label):
-        for known, eff in self.outcomes:
-            if known == label:
-                return eff
-        raise UnknownLabel(f"no outcome labeled {label!r}")
+        try:
+            return self._by_label[label]
+        except KeyError:
+            raise UnknownLabel(f"no outcome labeled {label!r}") from None
 
     def __len__(self):
         return len(self.outcomes)
@@ -71,10 +73,21 @@ class StochasticMatrix:
         sums = self.entries.sum(axis=1)
         if np.abs(sums - 1.0).max(initial=0.0) > _STOCH_TOL:
             raise ValueError("rows of stochastic matrix must sum to 1")
+        self._rows = _first_index(self.row_labels)
+        self._cols = _first_index(self.col_labels)
 
     def __getitem__(self, pair):
         row, col = pair
-        return self.entries[self.row_labels.index(row), self.col_labels.index(col)]
+        if row not in self._rows:
+            raise UnknownLabel(f"no row labeled {row!r}")
+        if col not in self._cols:
+            raise UnknownLabel(f"no column labeled {col!r}")
+        return self.entries[self._rows[row], self._cols[col]]
+
+
+def _first_index(labels) -> dict:
+    """Position of each label's first occurrence."""
+    return {label: i for i, label in reversed(list(enumerate(labels)))}
 
 
 @dataclass(eq=False)
@@ -156,14 +169,30 @@ def max_effect_distance(A: Povm, B: Povm) -> float:
 
 
 def _vec_hermitian(M: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix: diagonal, then Re/Im above it."""
+    """Real coordinates of a Hermitian matrix: diagonal, then Re/Im above it.
+
+    The off-diagonal parts carry a factor √2, so the Euclidean norm of the
+    coordinates is the Frobenius norm of M.
+    """
     d = M.shape[0]
-    iu = np.triu_indices(d, 1)
-    return np.concatenate([np.diag(M).real, M[iu].real, M[iu].imag])
+    off = np.sqrt(2.0) * M[np.triu_indices(d, 1)]
+    return np.concatenate([np.diag(M).real, off.real, off.imag])
 
 
 def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
     """Stochastic matrix nu with B(y) = Σ_x nu_xy A(x), or None if none exists.
+
+    The LP is posed in an orthonormal basis Q of span{A(x)}: the left
+    singular vectors of the effects' coordinates (_vec_hermitian) whose
+    singular values clear numpy's matrix_rank cutoff.  Each target outcome
+    then gives r = dim span{A(x)} rows rather than d².  Every
+    Σ_x nu_xy A(x) lies in that span, so a B(y) farther than tol.eq_abs
+    from it can never pass the replay check below: that pair is a "no"
+    before any LP.  The last outcome's block is left out: the row sums give
+    Σ_y Σ_x nu_xy A(x) = Σ_x A(x), which for POVMs is Σ_y B(y), so the last
+    block holds once the others do.  The coordinates are orthonormal, so
+    the phase-1 objective (the l1 residual) bounds each block's Frobenius
+    residual, and feas_tol is tol.eq_abs, the replay's own bound.
 
     Feasibility is decided by the bundled phase-1 simplex; a candidate is
     only returned after replaying it through apply_post_processing and
@@ -173,22 +202,26 @@ def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
         raise DimensionMismatch(f"POVMs act on different spaces: {A.dim} vs {B.dim}")
     n_a, n_b = len(A), len(B)
     d2 = A.dim * A.dim
-    vec_a = [_vec_hermitian(E) for E in A.effects]
-    vec_b = [_vec_hermitian(E) for E in B.effects]
+    vec_a = np.array([_vec_hermitian(E) for E in A.effects]).reshape(n_a, d2).T
+    vec_b = np.array([_vec_hermitian(E) for E in B.effects]).reshape(n_b, d2).T
 
-    n_var = n_a * n_b  # nu[x, y] at column x * n_b + y
-    M = np.zeros((n_b * d2 + n_a, n_var))
-    rhs = np.zeros(n_b * d2 + n_a)
-    for y in range(n_b):
-        rows = slice(y * d2, (y + 1) * d2)
-        for x in range(n_a):
-            M[rows, x * n_b + y] = vec_a[x]
-        rhs[rows] = vec_b[y]
-    for x in range(n_a):
-        M[n_b * d2 + x, x * n_b : (x + 1) * n_b] = 1.0
-        rhs[n_b * d2 + x] = 1.0
+    U, s, _ = np.linalg.svd(vec_a, full_matrices=False)
+    Q = U[:, s > s.max(initial=0.0) * max(vec_a.shape) * np.finfo(float).eps]
+    coords_a = Q.T @ vec_a
+    coords_b = Q.T @ vec_b
+    if np.linalg.norm(vec_b - Q @ coords_b, axis=0).max(initial=0.0) > tol.eq_abs:
+        return None
 
-    sol = solve_nonnegative(M, rhs, feas_tol=(n_a + n_b) * tol.eq_abs)
+    r = Q.shape[1]
+    blocks = max(n_b - 1, 0)
+    M = np.zeros((blocks * r + n_a, n_a * n_b))  # nu[x, y] at column x * n_b + y
+    rhs = np.ones(blocks * r + n_a)
+    for y in range(blocks):
+        M[y * r : (y + 1) * r, y::n_b] = coords_a
+        rhs[y * r : (y + 1) * r] = coords_b[:, y]
+    M[blocks * r :] = np.kron(np.eye(n_a), np.ones(n_b))
+
+    sol = solve_nonnegative(M, rhs, feas_tol=tol.eq_abs)
     if sol is None:
         return None
     entries = sol.reshape(n_a, n_b)  # already ≥ 0

@@ -105,18 +105,18 @@ def test_iteration_limit_raises_solver_error():
     "A, b, vertex",
     [
         # two rows tie at the minimum ratio; the larger column entry leaves
-        # (pivoting on the smaller one ends at [0.4, 0.2, 0, 0, 1.6])
+        # (pivoting on the smaller one ends at [2, 0.5, 0.5, 0])
         (
-            [[2, 1, 1, 1, 0], [1, 0, 2, 0, 1], [0, 2, 1, 2, 1]],
-            [1, 2, 2],
-            [0, 1 / 3, 2 / 3, 0, 2 / 3],
+            [[1, 1, 1, 1], [0, 2, 0, 1], [1, 0, 0, 2]],
+            [3, 1, 2],
+            [0, 0, 2, 1],
         ),
         # ratio and column entry tie too; the smaller basis index leaves
-        # (the larger one ends at [1.375, 0, 0.125, 0.25])
+        # (the larger one ends at [0, 1.5, 0, 1])
         (
-            [[1, 0, 1, 2], [2, 2, 2, 0], [2, 1, 0, 1]],
-            [2, 3, 3],
-            [1, 0.5, 0, 0.5],
+            [[2, 2, 0, 0], [0, 2, 1, 0], [1, 0, 0, 1]],
+            [3, 3, 1],
+            [1, 0.5, 2, 0],
         ),
     ],
     ids=["largest-entry", "smallest-index"],
@@ -126,9 +126,11 @@ def test_ratio_test_tie_breaks(A, b, vertex):
     assert np.allclose(x, vertex, rtol=0.0, atol=1e-12)
 
 
-def _full_tableau_solve(A, b, feas_tol=1e-9, pivot_tol=1e-11):
+def _full_tableau_solve(A, b, feas_tol=1e-9, pivot_tol=1e-11, degenerate_run=50):
     # reference: the tableau [B⁻¹A | B⁻¹ | B⁻¹b] with the artificial block
-    # kept and updated, and both pivot rules written as loops
+    # kept and updated, and the pivot rules written as loops: the most
+    # negative reduced cost enters (first on a tie), or the first negative
+    # one after degenerate_run consecutive pivots at ratio ≤ 1e-13
     m, n = A.shape
     flip = np.where(b < 0, -1.0, 1.0)
     A, b = A * flip[:, None], b * flip
@@ -136,14 +138,20 @@ def _full_tableau_solve(A, b, feas_tol=1e-9, pivot_tol=1e-11):
     T[:m, :n], T[:m, n : n + m], T[:m, -1] = A, np.eye(m), b
     T[m, :n], T[m, -1] = -A.sum(axis=0), -b.sum()
     basis = list(range(n, n + m))
+    degenerate = 0
     while -T[m, -1] > feas_tol:
-        enter = next((j for j in range(n) if T[m, j] < -pivot_tol), None)
-        if enter is None:
+        negative = [j for j in range(n) if T[m, j] < -pivot_tol]
+        if not negative:
             break
+        if degenerate < degenerate_run:
+            enter = min(negative, key=lambda j: T[m, j])
+        else:
+            enter = negative[0]
         col = T[:m, enter]
         eligible = col > pivot_tol
         rhs_col = np.clip(T[:m, -1], 0.0, None)
         ratios = np.where(eligible, rhs_col / np.where(eligible, col, 1.0), np.inf)
+        degenerate = degenerate + 1 if ratios.min() <= 1e-13 else 0
         slack = ratios.min() + 1e-13 * (1.0 + ratios.min())
         leave = max(
             (i for i in range(m) if eligible[i] and ratios[i] <= slack),
@@ -163,6 +171,19 @@ def _full_tableau_solve(A, b, feas_tol=1e-9, pivot_tol=1e-11):
     return np.clip(x, 0.0, None)
 
 
+def _degenerate_system(m):
+    # b = e₁ keeps almost every basic value at zero, so the pivots from the
+    # artificial basis stay degenerate for a long run; columns 0 and m-1
+    # are e₁ and 2e₁, two vertices x₀ = 1 and x_{m-1} = 1/2 that the pivot
+    # path chooses between
+    A = _gaussians(0, m * m).reshape(m, m)
+    A[:, 0] = A[:, -1] = 0.0
+    A[0, 0], A[0, -1] = 1.0, 2.0
+    b = np.zeros(m)
+    b[0] = 1.0
+    return A, b
+
+
 def test_matches_full_tableau_bitwise():
     for seed in range(240):
         m = 2 + seed % 6
@@ -178,3 +199,12 @@ def test_matches_full_tableau_bitwise():
         assert (x is None) == (ref is None)
         if ref is not None:
             assert x.tobytes() == ref.tobytes()
+    # degenerate runs of 41 pivots (m=64), below the fallback, and of 59
+    # (m=80), where the fallback lets column 0 enter after 50 and the path
+    # ends on the other vertex than it would without it
+    for m in (64, 80):
+        A, b = _degenerate_system(m)
+        ref = _full_tableau_solve(A, b)
+        assert solve_nonnegative(A, b).tobytes() == ref.tobytes()
+    assert ref[0] == 1.0
+    assert _full_tableau_solve(A, b, degenerate_run=np.inf)[0] == 0.0

@@ -108,6 +108,16 @@ def test_apply_errors():
         apply(I, "0", random_state(3, 0))
 
 
+def test_operation_lookup_by_label():
+    zero = QuantumOperation(2, 2, [np.zeros((2, 2))])
+    unit = QuantumOperation(2, 2, [np.eye(2)])
+    I = Instrument(2, 2, [("a", unit), ("b", zero), ("a", zero)])
+    assert I.operation("b") is zero
+    assert I.operation("a") is unit  # a repeated label finds its first outcome
+    with pytest.raises(UnknownLabel, match="^no outcome labeled 'missing'$"):
+        I.operation("missing")
+
+
 def test_induced_povm_of_luders():
     A = random_povm(3, 2, seed=4)
     assert max_effect_distance(induced_povm(luders(A)), A) < 1e-12

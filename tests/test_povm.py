@@ -6,6 +6,7 @@ from instrorder import (
     LabelMismatch,
     Povm,
     StochasticMatrix,
+    UnknownLabel,
     apply_post_processing,
     find_post_processing,
     is_indecomposable_povm,
@@ -20,7 +21,7 @@ from instrorder import (
     trivial_povm,
     validate_povm,
 )
-from instrorder.linalg import frob_dist
+from instrorder.linalg import DEFAULT_TOL, frob_dist
 
 from helpers import basis_pvm, random_stochastic
 
@@ -56,6 +57,24 @@ def test_stochastic_matrix_invariants():
         StochasticMatrix(["x"], ["u", "v"], [[-0.2, 1.2]])
     with pytest.raises(ValueError):
         StochasticMatrix(["x"], ["u"], [[1.0], [1.0]])
+
+
+def test_stochastic_matrix_lookup_by_label():
+    nu = StochasticMatrix(["x", "w"], ["u", "v"], [[0.25, 0.75], [1.0, 0.0]])
+    assert nu["x", "v"] == 0.75
+    assert nu["w", "u"] == 1.0
+    with pytest.raises(UnknownLabel, match="^no row labeled 'z'$"):
+        nu["z", "u"]
+    with pytest.raises(UnknownLabel, match="^no column labeled 'z'$"):
+        nu["x", "z"]
+
+
+def test_effect_lookup_by_label():
+    P = Povm(2, [("a", 0.5 * np.eye(2)), ("b", 0.25 * np.eye(2)), ("a", 0.25 * np.eye(2))])
+    assert P.effect("b")[0, 0] == 0.25
+    assert P.effect("a")[0, 0] == 0.5  # a repeated label finds its first outcome
+    with pytest.raises(UnknownLabel, match="^no outcome labeled 'c'$"):
+        P.effect("c")
 
 
 def test_apply_identity_permutation():
@@ -129,6 +148,49 @@ def test_find_soundness_and_completeness():
         found = find_post_processing(A, B)
         assert found is not None
         assert max_effect_distance(apply_post_processing(A, found), B) < 1e-9
+
+
+def test_find_empty_povm_is_never_reached_nor_reaches():
+    A = random_povm(3, 2, seed=1)
+    empty = Povm(2, [])
+    assert find_post_processing(empty, A) is None
+    assert find_post_processing(A, empty) is None
+
+
+def test_find_with_extra_zero_effect_both_ways():
+    A = random_povm(3, 2, seed=2)
+    padded = Povm(2, A.outcomes + [("zero", np.zeros((2, 2)))])
+    assert find_post_processing(padded, A) is not None
+    assert find_post_processing(A, padded) is not None
+
+
+def test_find_one_outcome_target():
+    A = random_povm(3, 2, seed=3)
+    whole = Povm(2, [("all", np.eye(2))])
+    nu = find_post_processing(A, whole)
+    assert nu is not None
+    assert np.allclose(nu.entries, 1.0)
+    assert find_post_processing(whole, A) is None
+
+
+def test_find_on_dimension_one():
+    split = Povm(1, [("a", [[0.3]]), ("b", [[0.7]])])
+    whole = Povm(1, [("all", [[1.0]])])
+    assert find_post_processing(split, whole) is not None
+    nu = find_post_processing(whole, split)
+    assert nu is not None
+    assert np.allclose(nu.entries, [[0.3, 0.7]], rtol=0.0, atol=1e-12)
+
+
+def test_find_coarse_graining_at_dimension_16():
+    # an exact coarse-graining; with feas_tol = (n_a + n_b)·eq_abs the
+    # simplex stopped where the replay missed B by 1.6e-9 and answered "no"
+    A = random_povm(32, 16, 3)
+    rows = [random_distribution(16, 100 + i) for i in range(32)]
+    B = apply_post_processing(A, StochasticMatrix(A.labels, [str(y) for y in range(16)], rows))
+    nu = find_post_processing(A, B)
+    assert nu is not None
+    assert max_effect_distance(apply_post_processing(A, nu), B) <= DEFAULT_TOL.eq_abs
 
 
 def test_relabel_bijection():
