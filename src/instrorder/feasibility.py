@@ -8,12 +8,10 @@ reads them.  A Farkas dual would solve Bᵀy = c_B once, on the final basis
 columns of [A | I].
 
 Pricing is Dantzig's rule: the entering column has the most negative
-reduced cost, the first such column on a tie.  Dantzig's rule can cycle
-at a degenerate vertex, so after _DEGENERATE_RUN consecutive degenerate
-pivots (minimum ratio ≤ 1e-13) the entering column is the first with a
-negative reduced cost instead, until a pivot makes progress again.  That
-changes the path, but it is not Bland's rule and does not rule out every
-cycle.  The leaving row is the stablest pivot among near-minimum ratios.
+reduced cost, the first such column on a tie.  The leaving row is the
+stablest pivot among near-minimum ratios.  Neither rule is Bland's, so a
+degenerate vertex can cycle; max_iter then ends the search with
+SolverError.
 The largest problems, from find_post_processing at d=8 with 16 → 16
 outcomes, have 256 variables × 256 rows.
 """
@@ -25,7 +23,6 @@ import numpy as np
 from .errors import SolverError
 
 _PIVOT_TOL = 1e-11  # float64 rounding on the tableau's scale, not a Tolerance
-_DEGENERATE_RUN = 50  # longest run seen without cycling: 30, a d=16 basis PVM against itself
 
 
 def solve_nonnegative(
@@ -55,7 +52,6 @@ def solve_nonnegative(
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
     basis = np.arange(n, n + m)
-    degenerate = 0  # consecutive pivots at a minimum ratio ≤ 1e-13
 
     for _ in range(max_iter):
         if -T[m, -1] <= feas_tol:
@@ -64,10 +60,7 @@ def solve_nonnegative(
         negative = np.flatnonzero(T[m, :n] < -_PIVOT_TOL)
         if negative.size == 0:
             break
-        if degenerate < _DEGENERATE_RUN:
-            enter = negative[np.argmin(T[m, negative])]
-        else:
-            enter = negative[0]
+        enter = negative[np.argmin(T[m, negative])]
 
         col = T[:m, enter]
         eligible = col > _PIVOT_TOL
@@ -78,7 +71,6 @@ def solve_nonnegative(
         rhs_col = np.clip(T[:m, -1], 0.0, None)
         ratios = np.where(eligible, rhs_col / np.where(eligible, col, 1.0), np.inf)
         best = ratios.min()
-        degenerate = degenerate + 1 if best <= 1e-13 else 0
         # among near-minimum-ratio rows pivot on the largest column entry;
         # the slack groups rounding-level ties (float64 noise, so not a
         # Tolerance), the size rule keeps the update stable, the index

@@ -30,7 +30,7 @@ from .linalg import (
     psd_sqrt,
     psd_support,
 )
-from .povm import Povm, ValidationReport, trivial_povm
+from .povm import Povm, ValidationReport, first_index, trivial_povm
 
 
 @dataclass(eq=False)
@@ -108,8 +108,7 @@ class Instrument:
                 )
             checked.append((str(label), op))
         self.outcomes = checked
-        # reversed, so that a repeated label finds its first outcome
-        self._by_label = dict(reversed(checked))
+        self._index = first_index(self.labels)
 
     @property
     def labels(self):
@@ -120,10 +119,9 @@ class Instrument:
         return [op for _, op in self.outcomes]
 
     def operation(self, label):
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise UnknownLabel(f"no outcome labeled {label!r}") from None
+        if label not in self._index:
+            raise UnknownLabel(f"no outcome labeled {label!r}")
+        return self.outcomes[self._index[label]][1]
 
     def __len__(self):
         return len(self.outcomes)

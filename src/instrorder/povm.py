@@ -21,6 +21,11 @@ from .linalg import DEFAULT_TOL, Tolerance, frob_dist, hermitize, is_hermitian, 
 _STOCH_TOL = 1e-12
 
 
+def first_index(labels) -> dict:
+    """Position of each label's first occurrence."""
+    return {label: i for i, label in reversed(list(enumerate(labels)))}
+
+
 @dataclass(eq=False)
 class Povm:
     """Labeled family of effects on a dim-dimensional space summing to identity."""
@@ -32,8 +37,7 @@ class Povm:
         self.outcomes = [
             (str(label), np.asarray(effect, dtype=complex)) for label, effect in self.outcomes
         ]
-        # reversed, so that a repeated label finds its first outcome
-        self._by_label = dict(reversed(self.outcomes))
+        self._index = first_index(self.labels)
 
     @property
     def labels(self):
@@ -44,10 +48,9 @@ class Povm:
         return [effect for _, effect in self.outcomes]
 
     def effect(self, label):
-        try:
-            return self._by_label[label]
-        except KeyError:
-            raise UnknownLabel(f"no outcome labeled {label!r}") from None
+        if label not in self._index:
+            raise UnknownLabel(f"no outcome labeled {label!r}")
+        return self.outcomes[self._index[label]][1]
 
     def __len__(self):
         return len(self.outcomes)
@@ -73,8 +76,8 @@ class StochasticMatrix:
         sums = self.entries.sum(axis=1)
         if np.abs(sums - 1.0).max(initial=0.0) > _STOCH_TOL:
             raise ValueError("rows of stochastic matrix must sum to 1")
-        self._rows = _first_index(self.row_labels)
-        self._cols = _first_index(self.col_labels)
+        self._rows = first_index(self.row_labels)
+        self._cols = first_index(self.col_labels)
 
     def __getitem__(self, pair):
         row, col = pair
@@ -83,11 +86,6 @@ class StochasticMatrix:
         if col not in self._cols:
             raise UnknownLabel(f"no column labeled {col!r}")
         return self.entries[self._rows[row], self._cols[col]]
-
-
-def _first_index(labels) -> dict:
-    """Position of each label's first occurrence."""
-    return {label: i for i, label in reversed(list(enumerate(labels)))}
 
 
 @dataclass(eq=False)
@@ -191,8 +189,12 @@ def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
     before any LP.  The last outcome's block is left out: the row sums give
     Σ_y Σ_x nu_xy A(x) = Σ_x A(x), which for POVMs is Σ_y B(y), so the last
     block holds once the others do.  The coordinates are orthonormal, so
-    the phase-1 objective (the l1 residual) bounds each block's Frobenius
-    residual, and feas_tol is tol.eq_abs, the replay's own bound.
+    the phase-1 objective (the l1 residual) bounds the kept blocks'
+    Frobenius residuals.  Renormalizing the rows of nu adds at most
+    max_x ‖A(x)‖_F times the row sums' l1 residual to those residuals
+    together, and the dropped block's replay residual is minus their sum.
+    So every replayed effect misses B by at most max(1, max_x ‖A(x)‖_F)
+    times the objective, and feas_tol is tol.eq_abs divided by that factor.
 
     Feasibility is decided by the bundled phase-1 simplex; a candidate is
     only returned after replaying it through apply_post_processing and
@@ -221,7 +223,8 @@ def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
         rhs[y * r : (y + 1) * r] = coords_b[:, y]
     M[blocks * r :] = np.kron(np.eye(n_a), np.ones(n_b))
 
-    sol = solve_nonnegative(M, rhs, feas_tol=tol.eq_abs)
+    scale = max(1.0, np.linalg.norm(vec_a, axis=0).max(initial=0.0))
+    sol = solve_nonnegative(M, rhs, feas_tol=tol.eq_abs / scale)
     if sol is None:
         return None
     entries = sol.reshape(n_a, n_b)  # already ≥ 0

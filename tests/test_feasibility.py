@@ -126,11 +126,10 @@ def test_ratio_test_tie_breaks(A, b, vertex):
     assert np.allclose(x, vertex, rtol=0.0, atol=1e-12)
 
 
-def _full_tableau_solve(A, b, feas_tol=1e-9, pivot_tol=1e-11, degenerate_run=50):
+def _full_tableau_solve(A, b, feas_tol=1e-9, pivot_tol=1e-11):
     # reference: the tableau [B⁻¹A | B⁻¹ | B⁻¹b] with the artificial block
     # kept and updated, and the pivot rules written as loops: the most
-    # negative reduced cost enters (first on a tie), or the first negative
-    # one after degenerate_run consecutive pivots at ratio ≤ 1e-13
+    # negative reduced cost enters (first on a tie)
     m, n = A.shape
     flip = np.where(b < 0, -1.0, 1.0)
     A, b = A * flip[:, None], b * flip
@@ -138,20 +137,15 @@ def _full_tableau_solve(A, b, feas_tol=1e-9, pivot_tol=1e-11, degenerate_run=50)
     T[:m, :n], T[:m, n : n + m], T[:m, -1] = A, np.eye(m), b
     T[m, :n], T[m, -1] = -A.sum(axis=0), -b.sum()
     basis = list(range(n, n + m))
-    degenerate = 0
     while -T[m, -1] > feas_tol:
         negative = [j for j in range(n) if T[m, j] < -pivot_tol]
         if not negative:
             break
-        if degenerate < degenerate_run:
-            enter = min(negative, key=lambda j: T[m, j])
-        else:
-            enter = negative[0]
+        enter = min(negative, key=lambda j: T[m, j])
         col = T[:m, enter]
         eligible = col > pivot_tol
         rhs_col = np.clip(T[:m, -1], 0.0, None)
         ratios = np.where(eligible, rhs_col / np.where(eligible, col, 1.0), np.inf)
-        degenerate = degenerate + 1 if ratios.min() <= 1e-13 else 0
         slack = ratios.min() + 1e-13 * (1.0 + ratios.min())
         leave = max(
             (i for i in range(m) if eligible[i] and ratios[i] <= slack),
@@ -199,12 +193,6 @@ def test_matches_full_tableau_bitwise():
         assert (x is None) == (ref is None)
         if ref is not None:
             assert x.tobytes() == ref.tobytes()
-    # degenerate runs of 41 pivots (m=64), below the fallback, and of 59
-    # (m=80), where the fallback lets column 0 enter after 50 and the path
-    # ends on the other vertex than it would without it
-    for m in (64, 80):
-        A, b = _degenerate_system(m)
-        ref = _full_tableau_solve(A, b)
-        assert solve_nonnegative(A, b).tobytes() == ref.tobytes()
-    assert ref[0] == 1.0
-    assert _full_tableau_solve(A, b, degenerate_run=np.inf)[0] == 0.0
+    # a run of 41 degenerate pivots before the path reaches a vertex
+    A, b = _degenerate_system(64)
+    assert solve_nonnegative(A, b).tobytes() == _full_tableau_solve(A, b).tobytes()
