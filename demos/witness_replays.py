@@ -73,10 +73,8 @@ pair = witness_indecomposable_equivalence(L, M)
 print("Lüders vs dressed relabeling equivalent:", pair is not None)
 print("  forward replay error:", witness_error(L, pair.forward))
 print("  backward replay error:", witness_error(M, pair.backward))
-print(
-    "  effect ratios (source effect = ratio * matched target effect):",
-    {k: float(round(v, 12)) for k, v in pair.ratios_forward.items()},
-)
+print("  stochastic matrix turning A^L into A^M (rows labeled by L):")
+print(pair.stoch_forward.entries)
 
 # The induced POVMs confirm what the witnesses certify.
 print(

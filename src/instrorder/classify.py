@@ -142,7 +142,7 @@ def identity_class_certificate(I: Instrument, tol: Tolerance = DEFAULT_TOL):
     if certificate_error(I, cert) > tol.eq_abs:
         return None
     total = sum(w for entry in branches.values() for w, _ in entry)
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > tol.eq_abs:
         return None
     return cert
 

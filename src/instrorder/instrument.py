@@ -28,7 +28,6 @@ from .linalg import (
     hermitize,
     is_hermitian,
     psd_sqrt,
-    psd_support,
 )
 from .povm import Povm, ValidationReport, first_index, trivial_povm
 
@@ -221,6 +220,38 @@ def complete_channel(ks, dim_in, dim_out) -> list:
         K[0] = v[:, k].conj()
         out.append(K)
     return out
+
+
+def _closed_processor(kraus_by_label, dim_in, dim_out) -> Instrument:
+    """Instrument with the given Kraus lists per label, made trace preserving
+    by complete_channel: the Kraus matrices it adds for the flattened lists
+    go to the first label, and a label with an empty list gets the zero
+    operation."""
+    flat = [K for ks in kraus_by_label.values() for K in ks]
+    extra = complete_channel(flat, dim_in, dim_out)[len(flat):]
+    outcomes = []
+    for i, (label, ks) in enumerate(kraus_by_label.items()):
+        ks = ks + extra if i == 0 else ks
+        op = QuantumOperation(dim_in, dim_out, ks) if ks else zero_operation(dim_in, dim_out)
+        outcomes.append((label, op))
+    return Instrument(dim_in, dim_out, outcomes)
+
+
+def _pull_back(K, target: Instrument, weights, tol: Tolerance) -> Instrument:
+    """Processor after the Kraus matrix K that realizes Σ_y w_y target_y:
+    outcome y gets √w_y · L K⁺ for every Kraus matrix L of target at y, and
+    no Kraus matrix when w_y = 0.
+
+    Requires Σ_y w_y A^target(y) = K†K.  Then ker K ⊆ ker L wherever
+    w_y > 0, so L K⁺ K = L, and the Kraus matrices sum to the projector onto
+    the range of K, which _closed_processor completes exactly.
+    """
+    K_pinv = np.linalg.pinv(K, rcond=tol.rank_rel)  # numpy < 2 has no rtol
+    kraus = {
+        y: [np.sqrt(w) * (L @ K_pinv) for L in op.kraus] if w > 0 else []
+        for (y, op), w in zip(target.outcomes, weights)
+    }
+    return _closed_processor(kraus, K.shape[0], target.dim_out)
 
 
 def ground_state(dim) -> State:
@@ -490,24 +521,13 @@ def luders_refinement_witness(I: Instrument, tol: Tolerance = DEFAULT_TOL):
     """Channels Φ^(x) recovering I from the Lüders instrument of its induced
     POVM: I_x = Φ^(x) ∘ (Lüders of A at x).
 
-    Each Φ^(x) composes I's Kraus matrices with the pseudo-inverse square
-    root of the effect, completed to a channel by complete_channel, which
-    sends the kernel of the effect to the first basis state.  The processor
-    at x keeps its own label and kills the rest, so composing with the
+    Φ^(x) is the _pull_back of I, with weight one at x alone, through the
+    Lüders Kraus matrix √A(x).  Its completion acts on the kernel of A(x),
+    which the Lüders output at x never reaches, so composing with the
     Lüders instrument reproduces I outcome by outcome.
     """
-    processors = {}
-    for label, op in I.outcomes:
-        E = op.effect
-        w, v, keep = psd_support(E, tol)
-        inv_sqrt = np.zeros((I.dim_in, I.dim_in), dtype=complex)
-        for i in np.nonzero(keep)[0]:
-            inv_sqrt += np.outer(v[:, i], v[:, i].conj()) / np.sqrt(w[i])
-        ks = []
-        for K in op.kraus:
-            M = K @ inv_sqrt
-            if np.count_nonzero(M):
-                ks.append(M)
-        channel = QuantumOperation(I.dim_in, I.dim_out, complete_channel(ks, I.dim_in, I.dim_out))
-        processors[label] = routed(channel, I.labels, label)
-    return processors
+    onehot = np.eye(len(I))
+    return {
+        label: _pull_back(psd_sqrt(op.effect), I, onehot[i], tol)
+        for i, (label, op) in enumerate(I.outcomes)
+    }

@@ -101,18 +101,6 @@ def psd_sqrt(M: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def psd_support(M: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Spectral data of a Hermitian PSD matrix split at the rank cutoff.
-
-    Returns (w, v, keep) where keep marks eigenvalues above
-    rank_rel × max eigenvalue.
-    """
-    w, v = np.linalg.eigh(hermitize(M))
-    top = w.max(initial=0.0)
-    keep = w > tol.rank_rel * top if top > 0 else np.zeros_like(w, dtype=bool)
-    return w, v, keep
-
-
 def partial_isometry_factor(
     K: np.ndarray, L: np.ndarray, c: float, tol: Tolerance = DEFAULT_TOL
 ) -> np.ndarray:

@@ -4,6 +4,12 @@ Every function here that claims J is reachable from I returns a witness: a
 processor instrument per source outcome, plus the target's per-outcome Choi
 matrices as fingerprint.  replay_witness pushes the source back through
 compose_post_processing so the claim can always be checked numerically.
+
+Processors after a single Kraus matrix K follow one pull-back rule
+(instrument._pull_back): a target operation with Kraus matrices L reached
+with weight w is realized by √w · L K⁺, and the channel is closed on the
+kernel of K† by complete_channel.  The indecomposable equivalence
+witnesses and the Lüders refinement are both built this way.
 """
 
 from __future__ import annotations
@@ -30,25 +36,18 @@ from .errors import (
 from .instrument import (
     Instrument,
     QuantumOperation,
+    _closed_processor,
     _minimal_branches,
+    _pull_back,
     complete_channel,
     compose_post_processing,
     detailed_instrument,
     identity_instrument,
     induced_povm,
-    is_zero_operation,
-    minimal_kraus,
     routed,
     trash_and_prepare,
-    zero_operation,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    frob_dist,
-    partial_isometry_factor,
-    range_projector,
-)
+from .linalg import DEFAULT_TOL, Tolerance, frob_dist, range_projector
 from .povm import find_post_processing, povm_equivalent
 
 
@@ -67,18 +66,15 @@ class InstrumentWitness:
 class EquivalenceWitness:
     """Two-way post-processing between instruments I and J.
 
-    stoch_forward realizes A^J from A^I (rows labeled by I), stoch_backward
-    the reverse; ratios_forward[(x, y)] is the constant with
-    A^I(x) = c * A^J(y) on supported pairs, ratios_backward[(y, x)] its
-    inverse direction.
+    stoch_forward realizes A^J from A^I (rows labeled by I) and weights the
+    backward processors; stoch_backward realizes A^I from A^J (rows labeled
+    by J) and weights the forward ones.
     """
 
     forward: InstrumentWitness
     backward: InstrumentWitness
     stoch_forward: object
     stoch_backward: object
-    ratios_forward: dict
-    ratios_backward: dict
 
 
 def replay_witness(source: Instrument, w: InstrumentWitness) -> Instrument:
@@ -114,17 +110,6 @@ def _checked(source, processors, target, tol) -> InstrumentWitness:
     return w
 
 
-def _sink(dim_in, dim_out, labels, to_label) -> Instrument:
-    """Instrument routing its whole input to one outcome as a trash channel,
-    which sends everything to the first basis state of the target.
-
-    Used for source outcomes whose operation vanishes: any channel works
-    there, since its contribution to every replay is negligible.
-    """
-    trash = QuantumOperation(dim_in, dim_out, complete_channel([], dim_in, dim_out))
-    return routed(trash, labels, to_label)
-
-
 def witness_detailed_to_original(I: Instrument, tol: Tolerance = DEFAULT_TOL) -> InstrumentWitness:
     """Witness from the detailed instrument of I back to I: the branch
     outcome (i, x) is forwarded unchanged to x."""
@@ -143,8 +128,8 @@ def witness_original_to_detailed(I: Instrument, tol: Tolerance = DEFAULT_TOL):
 
     When K_ix† K_jx = 0 for i != j the ranges of the branches are mutually
     orthogonal; measuring the range projectors after I recovers which branch
-    fired.  The first branch's projector absorbs the leftover of the output
-    space so the processor is trace preserving.
+    fired.  _closed_processor sends the rest of the output space to the
+    first detailed label, which no branch output reaches.
     """
     branches = _minimal_branches(I, tol)
     if not branches:
@@ -160,28 +145,12 @@ def witness_original_to_detailed(I: Instrument, tol: Tolerance = DEFAULT_TOL):
                 if gap > tol.eq_abs:
                     return None
     detailed = detailed_instrument(I, tol)
-    det_labels = detailed.labels
     processors = {}
     for x in I.labels:
-        if x not in per_src:
-            processors[x] = _sink(d, d, det_labels, det_labels[0])
-            continue
-        own = per_src[x]
-        projs = [range_projector(K, tol) for _, K in own]
-        first = np.eye(d)
-        for P in projs[1:]:
-            first = first - P
-        ops = {own[0][0]: first}
-        for (pl, _), P in zip(own[1:], projs[1:]):
-            ops[pl] = P
-        outcomes = [
-            (
-                pl,
-                QuantumOperation(d, d, [ops[pl]]) if pl in ops else zero_operation(d, d),
-            )
-            for pl in det_labels
-        ]
-        processors[x] = Instrument(d, d, outcomes)
+        kraus = {pl: [] for pl in detailed.labels}
+        for pl, K in per_src.get(x, []):
+            kraus[pl] = [range_projector(K, tol)]
+        processors[x] = _closed_processor(kraus, d, d)
     return _checked(I, processors, detailed, tol)
 
 
@@ -218,46 +187,20 @@ def witness_to_trash_and_prepare(
     return _checked(I, processors, target, tol)
 
 
-def _single_branch(op, tol):
-    """The unique minimal Kraus matrix of a Choi-rank-1 operation, or None
-    when the operation vanishes."""
-    if is_zero_operation(op, tol):
-        return None
-    return minimal_kraus(op, tol).kraus[0]
-
-
-def _factor_processors(src: Instrument, tgt: Instrument, stoch, tol):
-    """Processors realizing tgt from src, and the ratios c with
-    A^src(x) = c * A^tgt(y), for indecomposable instruments whose induced
-    POVMs are linked by stoch (rows labeled by src).
-
-    On every supported pair (x, y) the single Kraus matrices factor as
-    K_x = √c U L_y through a partial isometry U; the processor at x applies
-    U†, completed to a channel, with weight stoch[x, y].
-    """
-    d_s, d_t = src.dim_out, tgt.dim_out
-    singles_t = {y: _single_branch(op, tol) for y, op in tgt.outcomes}
-    traces_t = {y: np.trace(op.effect).real for y, op in tgt.outcomes}
-    processors = {}
-    ratios = {}
-    for row, (x, op) in zip(stoch.entries, src.outcomes):
-        K = _single_branch(op, tol)
-        if K is None:
-            processors[x] = _sink(d_s, d_t, tgt.labels, tgt.labels[0])
-            continue
-        trace = np.trace(op.effect).real
-        outcomes = []
-        for s, y in zip(row, tgt.labels):
-            if s <= 1e-15 or singles_t[y] is None:
-                outcomes.append((y, zero_operation(d_s, d_t)))
-                continue
-            c = trace / traces_t[y]
-            ratios[(x, y)] = c
-            U = partial_isometry_factor(K, singles_t[y], c, tol)
-            ks = complete_channel([U.conj().T], d_s, d_t)
-            outcomes.append((y, QuantumOperation(d_s, d_t, [np.sqrt(s) * M for M in ks])))
-        processors[x] = Instrument(d_s, d_t, outcomes)
-    return processors, ratios
+def _pull_back_all(src: Instrument, tgt: Instrument, stoch, tol) -> dict:
+    """Processors realizing tgt from src, for indecomposable instruments and
+    stoch (rows labeled by tgt) rebuilding A^src from A^tgt: the processor
+    at x is the _pull_back of tgt through src's single Kraus matrix at x,
+    weighted by column x of stoch.  A vanishing source outcome gets the
+    trash channel, since nothing passes through it."""
+    single = {x: K for _, x, K in _minimal_branches(src, tol)}
+    vanished = {y: [] for y in tgt.labels}
+    return {
+        x: _pull_back(single[x], tgt, col, tol)
+        if x in single
+        else _closed_processor(vanished, src.dim_out, tgt.dim_out)
+        for x, col in zip(src.labels, stoch.entries.T)
+    }
 
 
 def witness_indecomposable_equivalence(
@@ -266,9 +209,8 @@ def witness_indecomposable_equivalence(
     """Two-way witnesses between indecomposable instruments, present exactly
     when their induced POVMs are post-processing equivalent.
 
-    Both directions come from _factor_processors.  When the source's output
-    space is the smaller one the partial isometry's adjoint is already an
-    isometry, and completion adds nothing.
+    Both directions come from _pull_back_all: the forward processors are
+    weighted by nu, which rebuilds A^I from A^J, and the backward ones by mu.
     """
     if not is_indecomposable_instrument(I, tol):
         raise NotIndecomposable("first instrument has a Choi rank above one")
@@ -280,15 +222,11 @@ def witness_indecomposable_equivalence(
     if eq is None:
         return None
     nu, mu = eq  # nu rebuilds A^I from A^J; mu rebuilds A^J from A^I
-    forward, ratios_forward = _factor_processors(I, J, mu, tol)
-    backward, ratios_backward = _factor_processors(J, I, nu, tol)
     return EquivalenceWitness(
-        forward=_checked(I, forward, J, tol),
-        backward=_checked(J, backward, I, tol),
+        forward=_checked(I, _pull_back_all(I, J, nu, tol), J, tol),
+        backward=_checked(J, _pull_back_all(J, I, mu, tol), I, tol),
         stoch_forward=mu,
         stoch_backward=nu,
-        ratios_forward=ratios_forward,
-        ratios_backward=ratios_backward,
     )
 
 

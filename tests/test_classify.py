@@ -10,6 +10,7 @@ from instrorder import (
     instrument_distance,
     is_extreme,
     is_indecomposable_instrument,
+    is_isometric_channel,
     is_measure_and_prepare,
     is_post_processing_clean,
     is_simulation_irreducible,
@@ -27,6 +28,7 @@ from instrorder import (
     random_state,
     random_unitary,
     trash_and_prepare,
+    validate_instrument,
     zero_operation,
 )
 from instrorder.linalg import frob_dist
@@ -120,6 +122,17 @@ def test_identity_certificate_for_random_unitary_instrument():
     cert = identity_class_certificate(I)
     assert cert is not None
     assert certificate_error(I, cert) < 1e-9
+
+
+def test_identity_certificate_holds_within_eq_abs_of_trace_preserving():
+    # an isometric channel off trace preservation by less than eq_abs is
+    # valid and isometric, so it must also be identity class
+    V = random_isometry(2, 3, seed=12)
+    for eps in (1e-11, 5e-10):
+        I = Instrument(2, 3, [("0", QuantumOperation(2, 3, [np.sqrt(1.0 + eps) * V]))])
+        assert validate_instrument(I).ok
+        assert is_isometric_channel(I)
+        assert identity_class_certificate(I) is not None
 
 
 def test_identity_certificate_rejects_luders_pvm():

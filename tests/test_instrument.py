@@ -377,6 +377,19 @@ def test_luders_refinement_random_instruments():
         assert instrument_distance(compose_post_processing(L, phi), I) < 1e-9
 
 
+def test_luders_refinement_keeps_small_effect_eigenvalues():
+    # the 1e-12 eigenvalue lies below rank_rel * max but above psd_sqrt's
+    # floor; dropping it would miss I by about its square root, 1e-6
+    A = np.diag([0.5, 1e-12, 0.3]).astype(complex)
+    V = random_unitary(3, 5)
+    I = Instrument(3, 3, [
+        ("a", QuantumOperation(3, 3, [V @ np.sqrt(A)])),
+        ("b", QuantumOperation(3, 3, [np.sqrt(np.eye(3) - A)])),
+    ])
+    phi = luders_refinement_witness(I)
+    assert instrument_distance(compose_post_processing(luders(induced_povm(I)), phi), I) < 1e-9
+
+
 def test_probability_conservation():
     for seed in range(20):
         I = random_instrument(2 + seed % 3, 2 + seed % 2, 2 + seed % 3, 1 + seed % 2, seed)

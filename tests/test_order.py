@@ -19,6 +19,7 @@ from instrorder import (
     is_indecomposable_instrument,
     is_trash_and_prepare,
     luders,
+    luders_refinement_witness,
     measure_and_prepare,
     proportional_inequivalent_pair,
     random_distribution,
@@ -217,16 +218,23 @@ def test_equivalence_handles_unequal_output_dimensions():
         assert witness_error(second, w.backward) < 1e-9
 
 
-def test_equivalence_witness_carries_proportionality_data():
+def test_pull_back_processors_are_instruments():
+    # witness_error does not check that processors are trace preserving;
+    # the closing rule of the pull-back must guarantee it
     A = random_rank1_povm(2, 2, seed=16)
     L = luders(A)
     Lr = relabel_instrument(L, {x: f"r{x}" for x in L.labels})
-    w = witness_indecomposable_equivalence(L, Lr)
-    assert w is not None
-    for (x, y), c in w.ratios_forward.items():
-        EI = L.operation(x).effect
-        EJ = Lr.operation(y).effect
-        assert frob_dist(EI, c * EJ) < 1e-9
+    J, _ = split_and_dress(L, 4, seed=15)
+    processors = []
+    for first, second in ((L, Lr), (L, J), (J, L)):
+        w = witness_indecomposable_equivalence(first, second)
+        assert w is not None
+        processors += list(w.forward.processors.values())
+        processors += list(w.backward.processors.values())
+    for I in (L, J, random_instrument(3, 2, 2, 2, 16)):
+        processors += list(luders_refinement_witness(I).values())
+    for R in processors:
+        assert validate_instrument(R).ok
 
 
 def test_equivalence_requires_indecomposable_inputs():
