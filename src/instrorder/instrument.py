@@ -7,6 +7,10 @@ vec(K)[i * dim_out + a] = K[a, i], so the identity channel has Choi
 Σ_ij |ii⟩⟨jj| and tracing out the output block returns the transposed
 induced effect.
 
+Both the Choi matrix and the minimal Kraus form are read from one stacked
+matrix V whose columns are the vec(K_k) (QuantumOperation.kraus_columns):
+C = V V†, and the minimal Kraus form comes from a thin SVD of V.
+
 Operations are immutable: Kraus lists are not changed after construction,
 so each operation caches its Choi matrix and, per Tolerance, its minimal
 Kraus form (see minimal_kraus).  Every classifier and witness reads the
@@ -51,14 +55,16 @@ class QuantumOperation:
                     f"Kraus shape {K.shape}, expected ({self.dim_out}, {self.dim_in})"
                 )
 
+    @property
+    def kraus_columns(self):
+        """V with column k = vec(K_k), (dim_in·dim_out) × len(kraus), so that
+        the Choi matrix is V V†."""
+        return np.array(self.kraus).transpose(2, 1, 0).reshape(self.dim_in * self.dim_out, -1)
+
     @cached_property
     def choi_matrix(self):
-        d = self.dim_in * self.dim_out
-        C = np.zeros((d, d), dtype=complex)
-        for K in self.kraus:
-            v = K.T.reshape(-1)
-            C += np.outer(v, v.conj())
-        return C
+        V = self.kraus_columns
+        return V @ V.conj().T
 
     @property
     def effect(self):
@@ -161,27 +167,24 @@ def partial_trace_input(C, dim_in, dim_out):
 
 
 def minimal_kraus(op: QuantumOperation, tol: Tolerance = DEFAULT_TOL) -> QuantumOperation:
-    """Canonical Kraus form from the Choi eigendecomposition.
+    """Canonical Kraus form from a thin SVD of the stacked Kraus columns.
 
-    Keeps eigenvalues above tol.rank_rel times the largest, ordered
+    With V = op.kraus_columns the Choi matrix is V V†, so its eigenpairs are
+    (s², u) for the singular pairs of V, and s·u reshaped is a Kraus matrix.
+    Keeps the ones with s² above tol.rank_rel times the largest, ordered
     decreasingly, so the number of matrices equals the Choi rank.  A
-    vanishing operation collapses to a single zero matrix.  The form is
-    computed once per operation and tolerance; later calls return the same
-    object.
+    vanishing operation collapses to a single zero matrix.  The SVD costs
+    O(D k min(D, k)) for D = dim_in·dim_out and k Kraus matrices, where an
+    eigendecomposition of the Choi matrix costs O(D³).  The form is computed
+    once per operation and tolerance; later calls return the same object.
     """
     cached = op._minimal.get(tol)
     if cached is not None:
         return cached
-    C = hermitize(op.choi_matrix)
-    w, v = np.linalg.eigh(C)
-    top = w.max(initial=0.0)
-    ks = []
-    if top > 0.0:
-        for i in range(len(w) - 1, -1, -1):
-            if w[i] <= tol.rank_rel * top:
-                break
-            K = np.sqrt(w[i]) * v[:, i].reshape(op.dim_in, op.dim_out).T
-            ks.append(K)
+    u, s, _ = np.linalg.svd(op.kraus_columns, full_matrices=False)
+    w = s * s
+    kept = np.flatnonzero(w > tol.rank_rel * w[0]) if w[0] > 0.0 else []
+    ks = [(s[i] * u[:, i]).reshape(op.dim_in, op.dim_out).T for i in kept]
     if not ks:
         ks = [np.zeros((op.dim_out, op.dim_in), dtype=complex)]
     op._minimal[tol] = QuantumOperation(op.dim_in, op.dim_out, ks)

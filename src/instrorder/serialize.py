@@ -3,10 +3,14 @@ simulation programs and reports.
 
 Complex numbers are stored as [re, im] pairs and matrices as row-major
 nested arrays, so documents are trivially parseable anywhere; floats print
-with shortest-round-trip precision, which keeps save/load exact.  Parsing is
-strict: unknown fields, wrong shapes, non-finite numbers (NaN, Infinity or
-values beyond the float range) and unsupported versions all raise ParseError
-naming the offending field.
+with shortest-round-trip precision, which keeps save/load exact.  save writes
+compact JSON (no whitespace between tokens) with the C encoder; load reads
+any whitespace, so indented documents load to the same payload.  Parsing is
+strict: unknown fields, wrong shapes, leaves that are not JSON numbers
+(true, "0.5", null), non-finite numbers (NaN, Infinity or values beyond the
+float range) and unsupported versions all raise ParseError naming the
+offending field.  A matrix is decoded by one numpy conversion; its entries
+are scanned one by one only to name a malformed one.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -89,7 +94,22 @@ def _enc_matrix(M):
     return np.stack((M.real, M.imag), -1).tolist()
 
 
-def _dec_matrix(obj, rows, cols, where):
+def _json_pairs(obj):
+    """True when obj holds lists of lists of lists whose leaves are all int or
+    float, the types json.load gives numbers: type sets built at C speed,
+    so no Python loop runs over the entries.  bool, str and None are
+    excluded, although np.array(..., dtype=float) would convert them."""
+    if type(obj) is not list or set(map(type, obj)) != {list}:
+        return False
+    entries = list(chain.from_iterable(obj))
+    return set(map(type, entries)) == {list} and set(
+        map(type, chain.from_iterable(entries))
+    ) <= {int, float}
+
+
+def _check_pairs(obj, rows, cols, where):
+    """Raise ParseError naming the first row or entry that is not a [re, im]
+    pair of numbers."""
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{where}: expected {rows} rows")
     for i, row in enumerate(obj):
@@ -98,13 +118,20 @@ def _dec_matrix(obj, rows, cols, where):
         for j, entry in enumerate(row):
             if not isinstance(entry, list) or len(entry) != 2 or not all(map(_is_number, entry)):
                 raise ParseError(f"{where}[{i}][{j}]: expected a [re, im] pair")
+
+
+def _dec_matrix(obj, rows, cols, where):
+    # One numpy conversion; the per-entry scan runs only when a check fails.
     try:
         pairs = np.array(obj, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        raise ParseError(f"{where}: expected finite numbers") from None
-    finite = np.isfinite(pairs).all(axis=-1)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
+    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or too large
+        pairs = None
+    if pairs is None or pairs.shape != (rows, cols, 2) or not _json_pairs(obj):
+        _check_pairs(obj, rows, cols, where)
+    if pairs is None:  # well-formed, so an integer beyond the float range
+        raise ParseError(f"{where}: expected finite numbers")
+    if not np.isfinite(pairs).all():
+        i, j = np.argwhere(~np.isfinite(pairs).all(axis=-1))[0]
         raise ParseError(f"{where}[{i}][{j}]: expected finite numbers")
     return pairs.view(complex).reshape(rows, cols)
 
@@ -296,9 +323,11 @@ def decode(obj) -> Document:
 def save(doc: Document, path) -> None:
     if not isinstance(doc, Document):
         doc = document_for(doc)
-    body = encode(doc)  # before open, so a failed encode leaves the file intact
+    # Encoded before open, so a failed encode leaves the file intact.  json.dumps
+    # without indent runs the C encoder; json.dump never does.
+    text = json.dumps(encode(doc), separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(body, fh, indent=2)
+        fh.write(text)
         fh.write("\n")
 
 

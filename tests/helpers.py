@@ -16,6 +16,7 @@ from instrorder import (
     random_unitary,
     zero_operation,
 )
+from instrorder.linalg import DEFAULT_TOL, hermitize
 
 
 def basis_pvm(d):
@@ -143,3 +144,22 @@ def simulate_direct(program: SimulationProgram) -> Instrument:
             ks = [np.zeros((ref.dim_out, comps[0].dim_in), dtype=complex)]
         outcomes.append((y, QuantumOperation(comps[0].dim_in, ref.dim_out, ks)))
     return Instrument(comps[0].dim_in, ref.dim_out, outcomes)
+
+
+def minimal_kraus_eigh(op: QuantumOperation, tol=DEFAULT_TOL) -> QuantumOperation:
+    """Minimal Kraus form from the eigendecomposition of the Choi matrix, as
+    minimal_kraus computed it before it took a thin SVD of the Kraus
+    columns; uncached, used as the reference."""
+    C = hermitize(op.choi_matrix)
+    w, v = np.linalg.eigh(C)
+    top = w.max(initial=0.0)
+    ks = []
+    if top > 0.0:
+        for i in range(len(w) - 1, -1, -1):
+            if w[i] <= tol.rank_rel * top:
+                break
+            K = np.sqrt(w[i]) * v[:, i].reshape(op.dim_in, op.dim_out).T
+            ks.append(K)
+    if not ks:
+        ks = [np.zeros((op.dim_out, op.dim_in), dtype=complex)]
+    return QuantumOperation(op.dim_in, op.dim_out, ks)

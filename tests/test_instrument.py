@@ -44,7 +44,7 @@ from instrorder import (
 from instrorder.instrument import complete_channel
 from instrorder.linalg import Tolerance, frob_dist, numerical_rank
 
-from helpers import basis_pvm
+from helpers import basis_pvm, minimal_kraus_eigh
 
 PAULI = [
     np.eye(2, dtype=complex),
@@ -195,6 +195,55 @@ def test_complete_channel_is_trace_preserving(ks, dim_in, dim_out, added):
     assert all(a is b for a, b in zip(out, ks))
     total = sum(K.conj().T @ K for K in out)
     assert frob_dist(total, np.eye(dim_in)) < 1e-12
+
+
+def _gaussian_kraus(d_in, d_out, k, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=(d_out, d_in)) + 1j * rng.normal(size=(d_out, d_in)) for _ in range(k)]
+
+
+def _kraus_with_choi_spectrum(d_in, d_out, eigenvalues, seed):
+    """Kraus matrices, mixed by a random unitary, whose Choi matrix has the
+    given nonzero eigenvalues."""
+    n = len(eigenvalues)
+    Q = random_isometry(n, d_in * d_out, seed)
+    V = Q @ np.diag(np.sqrt(eigenvalues)) @ random_unitary(n, seed + 1)
+    return [V[:, k].reshape(d_in, d_out).T for k in range(n)]
+
+
+RANK_REL = Tolerance().rank_rel
+
+
+@pytest.mark.parametrize(
+    "kraus, rank, dropped",
+    [
+        (_gaussian_kraus(3, 2, 1, 50), 1, 0.0),
+        (_gaussian_kraus(3, 2, 6, 51), 6, 0.0),
+        (_gaussian_kraus(3, 2, 10, 52), 6, 0.0),
+        (_gaussian_kraus(2, 4, 1, 53) * 3 + _gaussian_kraus(2, 4, 2, 54), 3, 0.0),
+        ([np.zeros((3, 2), dtype=complex)] * 2, 0, 0.0),
+        (_kraus_with_choi_spectrum(2, 3, [1.0, 0.3, RANK_REL * (1 + 1e-3)], 55), 3, 0.0),
+        (
+            _kraus_with_choi_spectrum(2, 3, [1.0, 0.3, RANK_REL * (1 - 1e-3)], 56),
+            2,
+            RANK_REL * (1 - 1e-3),
+        ),
+    ],
+    ids=["k=1", "k=D", "k>D", "duplicated", "zero", "just-above-cut", "just-below-cut"],
+)
+def test_minimal_kraus_matches_choi_eigh(kraus, rank, dropped):
+    # dropped: Frobenius norm of the Choi part below the rank_rel cut
+    op = QuantumOperation(kraus[0].shape[1], kraus[0].shape[0], kraus)
+    tol = Tolerance()
+    ref, m = minimal_kraus_eigh(op, tol), minimal_kraus(op, tol)
+    assert len(m.kraus) == len(ref.kraus) == max(rank, 1)
+    # the same Choi eigenvalues, in the same decreasing order; eigh resolves
+    # them only to about 1e-16 of the largest, so small ones differ in relative terms
+    weights = [np.linalg.norm(K) ** 2 for K in m.kraus]
+    assert weights == sorted(weights, reverse=True)
+    assert np.allclose(weights, [np.linalg.norm(K) ** 2 for K in ref.kraus], rtol=1e-9, atol=1e-14)
+    assert frob_dist(m.choi_matrix, ref.choi_matrix) <= tol.eq_abs
+    assert abs(frob_dist(m.choi_matrix, op.choi_matrix) - dropped) <= tol.eq_abs
 
 
 def test_minimal_kraus_of_zero_operation():

@@ -157,6 +157,34 @@ def test_rejects_non_pair_entry():
         decode(obj)
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [[0.25, True], ["0.5", 0.0], [None, 0.0], [0.5, 0.0, 0.0], {"re": 0.5, "im": 0.0}],
+    ids=["true-leaf", "string-leaf", "null-leaf", "three-elements", "object"],
+)
+def test_rejects_malformed_entry(entry):
+    # numpy would read true as 1.0, "0.5" as 0.5 and null as NaN; the decoder must not
+    obj = encode(document_for(random_state(2, 3)))
+    obj["matrix"][1][0] = entry
+    with pytest.raises(ParseError, match=r"^state\.matrix\[1\]\[0\]: expected a \[re, im\] pair$"):
+        decode(json.loads(json.dumps(obj)))
+
+
+@pytest.mark.parametrize(
+    "cut, message",
+    [
+        (lambda m: m[1].append([0.0, 0.0]), r"^state\.matrix\[1\]: expected 2 entries$"),
+        (lambda m: m.append(m[0]), r"^state\.matrix: expected 2 rows$"),
+    ],
+    ids=["long-row", "extra-row"],
+)
+def test_rejects_ragged_matrix(cut, message):
+    obj = encode(document_for(random_state(2, 3)))
+    cut(obj["matrix"])
+    with pytest.raises(ParseError, match=message):
+        decode(json.loads(json.dumps(obj)))
+
+
 def test_rejects_bool_dimension():
     with pytest.raises(ParseError, match="expected an integer"):
         decode({"kind": "state", "version": 1, "dim": True, "matrix": []})
@@ -245,12 +273,31 @@ TINY_STATE_TEXT = """{
 """
 
 
+TINY_STATE_COMPACT = (
+    '{"kind":"state","version":1,"dim":2,'
+    '"matrix":[[[0.5,0.0],[-0.0,-0.25]],[[0.0,0.25],[0.5,0.0]]]}\n'
+)
+TINY_STATE = np.array([[0.5, -0.25j], [0.25j, 0.5]])
+
+
 def test_state_document_text_is_pinned(tmp_path):
-    # [re, im] pairs, row-major rows, indent=2, the sign of zero kept
+    # [re, im] pairs, row-major rows, compact JSON, the sign of zero kept
     path = tmp_path / "tiny.json"
-    save(State(2, np.array([[0.5, -0.25j], [0.25j, 0.5]])), path)
-    assert path.read_text() == TINY_STATE_TEXT
-    assert load(path).payload.matrix.tobytes() == np.array([[0.5, -0.25j], [0.25j, 0.5]]).tobytes()
+    save(State(2, TINY_STATE), path)
+    assert path.read_text() == TINY_STATE_COMPACT
+    assert load(path).payload.matrix.tobytes() == TINY_STATE.tobytes()
+
+
+def test_indented_document_loads_bit_exactly(tmp_path):
+    # whitespace is not part of the format: an indent=2 version-1 document
+    # loads to the same bits and saves back as the compact text
+    indented, again = tmp_path / "indented.json", tmp_path / "again.json"
+    indented.write_text(TINY_STATE_TEXT)
+    doc = load(indented)
+    assert doc.version == 1
+    assert doc.payload.matrix.tobytes() == TINY_STATE.tobytes()
+    save(doc, again)
+    assert again.read_text() == TINY_STATE_COMPACT
 
 
 @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
