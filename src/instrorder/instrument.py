@@ -8,8 +8,8 @@ vec(K)[i * dim_out + a] = K[a, i], so the identity channel has Choi
 induced effect.
 
 Both the Choi matrix and the minimal Kraus form are read from one stacked
-matrix V whose columns are the vec(K_k) (QuantumOperation.kraus_columns):
-C = V V†, and the minimal Kraus form comes from a thin SVD of V.
+matrix V whose columns are the vec(K_k) (_kraus_columns): C = V V†, and the
+minimal Kraus form comes from a thin SVD of V.
 
 Operations are immutable: Kraus lists are not changed after construction,
 so each operation caches its Choi matrix and, per Tolerance, its minimal
@@ -55,15 +55,9 @@ class QuantumOperation:
                     f"Kraus shape {K.shape}, expected ({self.dim_out}, {self.dim_in})"
                 )
 
-    @property
-    def kraus_columns(self):
-        """V with column k = vec(K_k), (dim_in·dim_out) × len(kraus), so that
-        the Choi matrix is V V†."""
-        return np.array(self.kraus).transpose(2, 1, 0).reshape(self.dim_in * self.dim_out, -1)
-
     @cached_property
     def choi_matrix(self):
-        V = self.kraus_columns
+        V = _kraus_columns(self)
         return V @ V.conj().T
 
     @property
@@ -82,6 +76,12 @@ class QuantumOperation:
         for K in self.kraus:
             out += K @ rho @ K.conj().T
         return out
+
+
+def _kraus_columns(op: QuantumOperation) -> np.ndarray:
+    """V with column k = vec(K_k), (dim_in·dim_out) × len(kraus), so that
+    the Choi matrix is V V†."""
+    return np.array(op.kraus).transpose(2, 1, 0).reshape(op.dim_in * op.dim_out, -1)
 
 
 @dataclass(eq=False)
@@ -169,7 +169,7 @@ def partial_trace_input(C, dim_in, dim_out):
 def minimal_kraus(op: QuantumOperation, tol: Tolerance = DEFAULT_TOL) -> QuantumOperation:
     """Canonical Kraus form from a thin SVD of the stacked Kraus columns.
 
-    With V = op.kraus_columns the Choi matrix is V V†, so its eigenpairs are
+    With V = _kraus_columns(op) the Choi matrix is V V†, so its eigenpairs are
     (s², u) for the singular pairs of V, and s·u reshaped is a Kraus matrix.
     Keeps the ones with s² above tol.rank_rel times the largest, ordered
     decreasingly, so the number of matrices equals the Choi rank.  A
@@ -181,7 +181,7 @@ def minimal_kraus(op: QuantumOperation, tol: Tolerance = DEFAULT_TOL) -> Quantum
     cached = op._minimal.get(tol)
     if cached is not None:
         return cached
-    u, s, _ = np.linalg.svd(op.kraus_columns, full_matrices=False)
+    u, s, _ = np.linalg.svd(_kraus_columns(op), full_matrices=False)
     w = s * s
     kept = np.flatnonzero(w > tol.rank_rel * w[0]) if w[0] > 0.0 else []
     ks = [(s[i] * u[:, i]).reshape(op.dim_in, op.dim_out).T for i in kept]
