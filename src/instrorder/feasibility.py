@@ -12,8 +12,11 @@ reduced cost, the first such column on a tie.  The leaving row is the
 stablest pivot among near-minimum ratios.  Neither rule is Bland's, so a
 degenerate vertex can cycle; max_iter then ends the search with
 SolverError.
-The largest problems, from find_post_processing at d=8 with 16 → 16
-outcomes, have 256 variables × 256 rows.
+
+find_post_processing calls it only when the source effects are linearly
+dependent (n_a > r = dim span), or when its direct solve fails the replay
+check; the LP then has n_a·n_b variables × (n_b − 1)·r + n_a rows, for
+example 128 × 44 for 16 qubit effects and 8 target outcomes.
 """
 
 from __future__ import annotations

@@ -3,7 +3,8 @@
 Every function here that claims J is reachable from I returns a witness: a
 processor instrument per source outcome, plus the target's per-outcome Choi
 matrices as fingerprint.  replay_witness pushes the source back through
-compose_post_processing so the claim can always be checked numerically.
+compose_post_processing so the claim can always be checked numerically;
+witness_error also holds every processor to trace preservation.
 
 Processors after a single Kraus matrix K follow one pull-back rule
 (instrument._pull_back): a target operation with Kraus matrices L reached
@@ -85,12 +86,19 @@ def replay_witness(source: Instrument, w: InstrumentWitness) -> Instrument:
 
 
 def witness_error(source: Instrument, w: InstrumentWitness) -> float:
-    """Largest per-outcome Choi distance between replay and the fingerprint."""
+    """Largest of the per-outcome Choi distances between replay and the
+    fingerprint and of the processors' normalization gaps ‖Σ_k K_k†K_k − I‖_F
+    (summed over every outcome's Kraus matrices): a replay can match its
+    target through processors that are not instruments."""
     replay = replay_witness(source, w)
-    return max(
+    errors = [
         frob_dist(replay.operation(y).choi_matrix, w.target_chois[y])
         for y in w.target_labels
-    )
+    ]
+    for R in w.processors.values():
+        stacked = np.concatenate([K for op in R.operations for K in op.kraus])
+        errors.append(frob_dist(stacked.conj().T @ stacked, np.eye(R.dim_in)))
+    return max(errors)
 
 
 def _witness(source: Instrument, processors: dict, target: Instrument) -> InstrumentWitness:

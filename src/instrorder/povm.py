@@ -3,7 +3,9 @@
 A POVM here is an ordered list of (label, effect) pairs on a fixed
 finite-dimensional space.  B is a post-processing of A when there is a
 row-stochastic matrix ν with B(y) = Σ_x ν_xy A(x); deciding that is a linear
-feasibility problem, posed in coordinates of the span of A's effects.
+feasibility problem, posed in coordinates of the span of A's effects.  When
+those effects are linearly independent ν is unique and one linear solve
+decides; otherwise the phase-1 simplex does.
 """
 
 from __future__ import annotations
@@ -180,13 +182,26 @@ def _vec_hermitian(M: np.ndarray) -> np.ndarray:
 def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
     """Stochastic matrix nu with B(y) = Σ_x nu_xy A(x), or None if none exists.
 
-    The LP is posed in an orthonormal basis Q of span{A(x)}: the left
+    Everything is posed in an orthonormal basis Q of span{A(x)}: the left
     singular vectors of the effects' coordinates (_vec_hermitian) whose
-    singular values clear numpy's matrix_rank cutoff.  Each target outcome
-    then gives r = dim span{A(x)} rows rather than d².  Every
-    Σ_x nu_xy A(x) lies in that span, so a B(y) farther than tol.eq_abs
-    from it can never pass the replay check below: that pair is a "no"
-    before any LP.  The last outcome's block is left out: the row sums give
+    singular values s clear numpy's matrix_rank cutoff; r = dim span{A(x)}.
+    Every Σ_x nu_xy A(x) lies in that span, so a B(y) farther than
+    tol.eq_abs from it can never pass the replay check below: that pair is
+    a "no" before anything else.  Then one of two routes decides:
+
+    Independent effects (r = n_a): the coordinates C_A of A's effects are
+    an invertible n_a × n_a matrix and nu* = C_A⁻¹ C_B is the only exact
+    solution.  Any stochastic nu that passes the replay check has
+    ‖C_A (nu − nu*)_{·y}‖ ≤ tol.eq_abs per column (the part of B(y) outside
+    the span is orthogonal to it), so nu_xy ≥ nu*_xy − tol.eq_abs / s_min
+    with s_min = s[r − 1].  Hence min nu* < −2·tol.eq_abs / s_min is a
+    "no"; the factor 2 absorbs rounding.  Otherwise nu* is clipped at 0,
+    its rows are renormalized, and the result is returned if it passes the
+    replay check.  If it does not, the LP below decides.
+
+    Dependent effects (r < n_a), or a clipped nu* that failed the replay:
+    the phase-1 LP, with r rows per target outcome rather than d².  The
+    last outcome's block is left out: the row sums give
     Σ_y Σ_x nu_xy A(x) = Σ_x A(x), which for POVMs is Σ_y B(y), so the last
     block holds once the others do.  The coordinates are orthonormal, so
     the phase-1 objective (the l1 residual) bounds the kept blocks'
@@ -196,9 +211,9 @@ def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
     So every replayed effect misses B by at most max(1, max_x ‖A(x)‖_F)
     times the objective, and feas_tol is tol.eq_abs divided by that factor.
 
-    Feasibility is decided by the bundled phase-1 simplex; a candidate is
-    only returned after replaying it through apply_post_processing and
-    checking every reconstructed effect against B within tol.eq_abs.
+    On either route a candidate is only returned after replaying it
+    through apply_post_processing and checking every reconstructed effect
+    against B within tol.eq_abs.
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"POVMs act on different spaces: {A.dim} vs {B.dim}")
@@ -215,6 +230,17 @@ def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
         return None
 
     r = Q.shape[1]
+    if 0 < r == n_a and n_b > 0:
+        nu_star = np.linalg.solve(coords_a, coords_b)
+        if nu_star.min() < -2.0 * tol.eq_abs / s[r - 1]:
+            return None
+        entries = np.clip(nu_star, 0.0, None)
+        sums = entries.sum(axis=1, keepdims=True)
+        if sums.min() > 0.0:  # a zero row would renormalize to NaN, which no replay rejects
+            nu = _replayed(A, B, entries / sums, tol)
+            if nu is not None:
+                return nu
+
     blocks = max(n_b - 1, 0)
     M = np.zeros((blocks * r + n_a, n_a * n_b))  # nu[x, y] at column x * n_b + y
     rhs = np.ones(blocks * r + n_a)
@@ -228,7 +254,12 @@ def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
     if sol is None:
         return None
     entries = sol.reshape(n_a, n_b)  # already ≥ 0
-    entries /= entries.sum(axis=1, keepdims=True)
+    return _replayed(A, B, entries / entries.sum(axis=1, keepdims=True), tol)
+
+
+def _replayed(A: Povm, B: Povm, entries: np.ndarray, tol: Tolerance):
+    """The stochastic matrix with these entries if it rebuilds every effect
+    of B from A within tol.eq_abs, else None."""
     nu = StochasticMatrix(A.labels, B.labels, entries)
     if max_effect_distance(apply_post_processing(A, nu), B) > tol.eq_abs:
         return None

@@ -16,7 +16,9 @@ from instrorder import (
     random_unitary,
     zero_operation,
 )
+from instrorder.feasibility import solve_nonnegative
 from instrorder.linalg import DEFAULT_TOL, hermitize
+from instrorder.povm import _vec_hermitian, apply_post_processing, max_effect_distance
 
 
 def basis_pvm(d):
@@ -163,3 +165,36 @@ def minimal_kraus_eigh(op: QuantumOperation, tol=DEFAULT_TOL) -> QuantumOperatio
     if not ks:
         ks = [np.zeros((op.dim_out, op.dim_in), dtype=complex)]
     return QuantumOperation(op.dim_in, op.dim_out, ks)
+
+
+def find_post_processing_lp(A: Povm, B: Povm, tol=DEFAULT_TOL):
+    """find_post_processing as it was before independent effects got the
+    direct solve: the span projection, then always the phase-1 LP, then the
+    replay check; used as the reference."""
+    n_a, n_b = len(A), len(B)
+    d2 = A.dim * A.dim
+    vec_a = np.array([_vec_hermitian(E) for E in A.effects]).reshape(n_a, d2).T
+    vec_b = np.array([_vec_hermitian(E) for E in B.effects]).reshape(n_b, d2).T
+    U, s, _ = np.linalg.svd(vec_a, full_matrices=False)
+    Q = U[:, s > s.max(initial=0.0) * max(vec_a.shape) * np.finfo(float).eps]
+    coords_a = Q.T @ vec_a
+    coords_b = Q.T @ vec_b
+    if np.linalg.norm(vec_b - Q @ coords_b, axis=0).max(initial=0.0) > tol.eq_abs:
+        return None
+    r = Q.shape[1]
+    blocks = max(n_b - 1, 0)
+    M = np.zeros((blocks * r + n_a, n_a * n_b))  # nu[x, y] at column x * n_b + y
+    rhs = np.ones(blocks * r + n_a)
+    for y in range(blocks):
+        M[y * r : (y + 1) * r, y::n_b] = coords_a
+        rhs[y * r : (y + 1) * r] = coords_b[:, y]
+    M[blocks * r :] = np.kron(np.eye(n_a), np.ones(n_b))
+    scale = max(1.0, np.linalg.norm(vec_a, axis=0).max(initial=0.0))
+    sol = solve_nonnegative(M, rhs, feas_tol=tol.eq_abs / scale)
+    if sol is None:
+        return None
+    entries = sol.reshape(n_a, n_b)
+    nu = StochasticMatrix(A.labels, B.labels, entries / entries.sum(axis=1, keepdims=True))
+    if max_effect_distance(apply_post_processing(A, nu), B) > tol.eq_abs:
+        return None
+    return nu

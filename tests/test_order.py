@@ -9,6 +9,7 @@ from instrorder import (
     NotMeasureAndPrepare,
     PreconditionViolated,
     QuantumOperation,
+    SolverError,
     check_povm_necessary_condition,
     choi_distance,
     compose_post_processing,
@@ -41,8 +42,10 @@ from instrorder import (
     witness_map_post_processing,
     witness_original_to_detailed,
     witness_to_trash_and_prepare,
+    zero_operation,
 )
-from instrorder.linalg import frob_dist
+from instrorder.linalg import DEFAULT_TOL, frob_dist
+from instrorder.order import _checked, _witness
 
 from helpers import (
     basis_pvm,
@@ -218,9 +221,25 @@ def test_equivalence_handles_unequal_output_dimensions():
         assert witness_error(second, w.backward) < 1e-9
 
 
+def test_witness_error_counts_processor_normalization():
+    # the processor at "0" carries {P, 2Q} with Q = 1 - P: the replay
+    # rebuilds I exactly (Q kills the range of P), yet Σ K†K = P + 4Q
+    I = luders(basis_pvm(2))
+    P, Q = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    bad = Instrument(2, 2, [("0", QuantumOperation(2, 2, [P, 2 * Q])), ("1", zero_operation(2, 2))])
+    good = Instrument(2, 2, [("0", zero_operation(2, 2)), ("1", QuantumOperation(2, 2, [np.eye(2)]))])
+    processors = {"0": bad, "1": good}
+    assert not validate_instrument(bad).ok
+    w = _witness(I, processors, I)
+    assert instrument_distance(replay_witness(I, w), I) == 0.0
+    assert witness_error(I, w) == pytest.approx(3.0)
+    with pytest.raises(SolverError):
+        _checked(I, processors, I, DEFAULT_TOL)
+
+
 def test_pull_back_processors_are_instruments():
-    # witness_error does not check that processors are trace preserving;
-    # the closing rule of the pull-back must guarantee it
+    # witness_error holds processors to trace preservation as well; this
+    # checks the closing rule of the pull-back against validate_instrument
     A = random_rank1_povm(2, 2, seed=16)
     L = luders(A)
     Lr = relabel_instrument(L, {x: f"r{x}" for x in L.labels})

@@ -21,9 +21,11 @@ from instrorder import (
     trivial_povm,
     validate_povm,
 )
+import instrorder.povm
 from instrorder.linalg import DEFAULT_TOL, frob_dist
+from instrorder.povm import _vec_hermitian
 
-from helpers import basis_pvm, random_stochastic
+from helpers import basis_pvm, find_post_processing_lp, random_stochastic
 
 
 def test_validate_accepts_basis_pvm():
@@ -191,6 +193,102 @@ def test_find_coarse_graining_at_dimension_16():
     nu = find_post_processing(A, B)
     assert nu is not None
     assert max_effect_distance(apply_post_processing(A, nu), B) <= DEFAULT_TOL.eq_abs
+
+
+def _forbid_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the LP ran on linearly independent effects")
+
+    monkeypatch.setattr(instrorder.povm, "solve_nonnegative", refuse)
+
+
+def _count_lp(monkeypatch):
+    calls = []
+    real = instrorder.povm.solve_nonnegative
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(instrorder.povm, "solve_nonnegative", counted)
+    return calls
+
+
+def _coords(A):
+    # d² × n_a coordinates of A's effects, Frobenius-isometric
+    return np.array([_vec_hermitian(E) for E in A.effects]).T
+
+
+def test_full_span_no_runs_no_lp(monkeypatch):
+    # four independent qubit effects span every Hermitian matrix, so an
+    # independent B lies in the span and only the sign of nu* can say no
+    A = random_povm(4, 2, seed=1)
+    B = random_povm(3, 2, seed=2)
+    assert np.linalg.matrix_rank(_coords(A)) == 4
+    assert find_post_processing_lp(A, B) is None
+    _forbid_lp(monkeypatch)
+    assert find_post_processing(A, B) is None
+
+
+def test_relabel_with_dust_gives_zero_one_matrix_without_lp(monkeypatch):
+    # nu* of an exact relabeling carries ±1e-15 dust where nu has zeros;
+    # clipping it must still replay, so the LP never runs
+    A = random_povm(9, 3, seed=1)
+    B = relabel(A, lambda label: int(label) % 3)
+    nu_star = np.linalg.lstsq(_coords(A), _coords(B), rcond=None)[0]
+    assert -1e-12 < nu_star.min() < 0.0
+    _forbid_lp(monkeypatch)
+    nu = find_post_processing(A, B)
+    assert nu is not None
+    expected = np.array([[float(int(x) % 3 == y) for y in range(3)] for x in A.labels])
+    assert np.allclose(nu.entries, expected, rtol=0.0, atol=1e-12)
+    assert max_effect_distance(apply_post_processing(A, nu), B) <= DEFAULT_TOL.eq_abs
+
+
+def _pushed_below_zero(A, eps, seed):
+    # B = nu'(A) with nu' stochastic except nu'[0, 0] = -eps; every B(y)
+    # stays positive semidefinite for small eps
+    nu = random_stochastic(A.labels, ["0", "1", "2"], seed).entries
+    nu[0, 1] += nu[0, 0] + eps
+    nu[0, 0] = -eps
+    effects = np.einsum("xy,xij->yij", nu, np.array(A.effects))
+    assert min(np.linalg.eigvalsh(E).min() for E in effects) >= 0.0
+    return Povm(A.dim, [(str(y), E) for y, E in enumerate(effects)])
+
+
+def test_entry_just_below_zero_is_answered_and_replayed(monkeypatch):
+    # min nu* lies in (-2·eq_abs/s_min, 0): not a certain "no", so the
+    # clipped nu* is replayed, and the LP decides when that replay fails
+    eq = DEFAULT_TOL.eq_abs
+    A = random_povm(4, 2, seed=5)
+    s_min = np.linalg.svd(_coords(A), compute_uv=False)[-1]
+    norm0 = np.linalg.norm(A.effects[0])
+    calls = _count_lp(monkeypatch)
+
+    # clipping moves each replayed effect by about eps·‖A(0)‖_F ≤ eq / 10
+    B = _pushed_below_zero(A, 0.1 * eq / norm0, seed=6)
+    nu = find_post_processing(A, B)
+    assert calls == []
+    assert nu is not None
+    assert max_effect_distance(apply_post_processing(A, nu), B) <= eq
+
+    # here clipping moves B(0) by 1.5·eq·‖A(0)‖_F / s_min > eq, so the LP runs
+    eps = 1.5 * eq / s_min
+    assert -2.0 * eq / s_min < -eps
+    B = _pushed_below_zero(A, eps, seed=6)
+    nu = find_post_processing(A, B)
+    assert len(calls) == 1
+    assert (nu is None) == (find_post_processing_lp(A, B) is None)
+    if nu is not None:
+        assert max_effect_distance(apply_post_processing(A, nu), B) <= eq
+
+
+def test_find_rejects_zero_target_without_nan():
+    # nu* = 0 clears the sign test, and its clipped rows sum to 0: they
+    # must not be renormalized into NaN entries that slip past the replay
+    A = random_povm(4, 2, seed=1)
+    zero = Povm(2, [("z", np.zeros((2, 2)))])
+    assert find_post_processing(A, zero) is None
 
 
 def test_relabel_bijection():

@@ -17,7 +17,7 @@ from instrorder import (
 )
 from instrorder.linalg import DEFAULT_TOL
 
-from helpers import random_stochastic
+from helpers import find_post_processing_lp, random_stochastic
 
 LAWS = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 dims = st.integers(1, 4)
@@ -109,6 +109,41 @@ def test_in_span_non_coarse_graining_is_rejected(d, n_a, n_b, seed):
     assert min(np.linalg.eigvalsh(E).min() for E in effects) >= 0.0
     assert not _oracle_reachable(A, B)
     assert find_post_processing(A, B) is None
+
+
+@LAWS
+@given(
+    d=dims,
+    n_a=st.integers(1, 16),
+    n_b=st.integers(2, 6),
+    seed=seeds,
+    kind=st.sampled_from(["coarse", "relabel", "shifted", "random"]),
+    t=st.floats(1e-3, 0.5),
+)
+def test_direct_solve_agrees_with_lp(d, n_a, n_b, seed, kind, t):
+    # with n_a ≤ d² the effects are independent and nu is found by one
+    # solve; the LP formulation it replaced must give the same yes/no
+    n_a = min(n_a, d * d)
+    A = random_povm(n_a, d, seed)
+    if kind == "coarse":
+        B = _coarse(A, n_b, seed + 1)
+    elif kind == "relabel":
+        B = relabel(A, lambda label: int(label) % n_b)
+    elif kind == "random":
+        B = random_povm(n_b, d, seed + 1)
+    else:  # in the span, with nu'[0, 0] = -t
+        nu = random_stochastic(A.labels, [str(y) for y in range(n_b)], seed + 1).entries
+        nu[0, 1] += nu[0, 0] + t
+        nu[0, 0] = -t
+        B = Povm(d, [(str(y), E) for y, E in enumerate(np.einsum("xy,xij->yij", nu, np.array(A.effects)))])
+    found = find_post_processing(A, B)
+    reference = find_post_processing_lp(A, B)
+    assert (found is None) == (reference is None)
+    for nu in (found, reference):
+        if nu is not None:
+            assert max_effect_distance(apply_post_processing(A, nu), B) <= DEFAULT_TOL.eq_abs
+    if kind in ("coarse", "relabel"):
+        assert found is not None
 
 
 def _split_and_reverse(A, w):
