@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import serialize
 from .classify import (
     identity_class_certificate,
@@ -58,12 +60,13 @@ def _enc_stochastic(m) -> dict:
 
 
 def _print_report(args, report: dict) -> None:
+    # Certificates hold the numpy arrays of serialize's matrix encoder.
     if args.json:
-        print(json.dumps(report, indent=2))
+        print(json.dumps(report, indent=2, default=np.ndarray.tolist))
         return
     for key, value in report.items():
         if isinstance(value, (dict, list)):
-            print(f"{key}: {json.dumps(value)}")
+            print(f"{key}: {json.dumps(value, default=np.ndarray.tolist)}")
         else:
             print(f"{key}: {value}")
 

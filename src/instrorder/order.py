@@ -89,7 +89,8 @@ def witness_error(source: Instrument, w: InstrumentWitness) -> float:
     """Largest of the per-outcome Choi distances between replay and the
     fingerprint and of the processors' normalization gaps ‖Σ_k K_k†K_k − I‖_F
     (summed over every outcome's Kraus matrices): a replay can match its
-    target through processors that are not instruments."""
+    target through processors that are not instruments.  NaN if any of
+    them is NaN."""
     replay = replay_witness(source, w)
     errors = [
         frob_dist(replay.operation(y).choi_matrix, w.target_chois[y])
@@ -98,7 +99,7 @@ def witness_error(source: Instrument, w: InstrumentWitness) -> float:
     for R in w.processors.values():
         stacked = np.concatenate([K for op in R.operations for K in op.kraus])
         errors.append(frob_dist(stacked.conj().T @ stacked, np.eye(R.dim_in)))
-    return max(errors)
+    return float(np.max(errors))
 
 
 def _witness(source: Instrument, processors: dict, target: Instrument) -> InstrumentWitness:
@@ -113,7 +114,7 @@ def _witness(source: Instrument, processors: dict, target: Instrument) -> Instru
 def _checked(source, processors, target, tol) -> InstrumentWitness:
     w = _witness(source, processors, target)
     err = witness_error(source, w)
-    if err > tol.eq_abs:
+    if not err <= tol.eq_abs:  # so that a NaN error fails
         raise SolverError(f"witness replay missed its target by {err:.3e}")
     return w
 

@@ -73,6 +73,8 @@ class StochasticMatrix:
         shape = (len(self.row_labels), len(self.col_labels))
         if self.entries.shape != shape:
             raise ValueError(f"entries shape {self.entries.shape}, expected {shape}")
+        if not np.isfinite(self.entries).all():
+            raise ValueError("stochastic matrix entries must be finite")
         if self.entries.min(initial=0.0) < -_STOCH_TOL:
             raise ValueError("negative entry in stochastic matrix")
         sums = self.entries.sum(axis=1)
@@ -159,13 +161,12 @@ def apply_post_processing(A: Povm, nu: StochasticMatrix) -> Povm:
 
 
 def max_effect_distance(A: Povm, B: Povm) -> float:
-    """Largest Frobenius distance between same-label effects."""
+    """Largest Frobenius distance between same-label effects (NaN if any
+    distance is NaN)."""
     if A.labels != B.labels:
         raise LabelMismatch("POVMs carry different outcome labels")
-    return max(
-        (frob_dist(Ea, Eb) for Ea, Eb in zip(A.effects, B.effects)),
-        default=0.0,
-    )
+    dists = [frob_dist(Ea, Eb) for Ea, Eb in zip(A.effects, B.effects)]
+    return float(np.max(dists, initial=0.0))
 
 
 def _vec_hermitian(M: np.ndarray) -> np.ndarray:
@@ -261,7 +262,8 @@ def _replayed(A: Povm, B: Povm, entries: np.ndarray, tol: Tolerance):
     """The stochastic matrix with these entries if it rebuilds every effect
     of B from A within tol.eq_abs, else None."""
     nu = StochasticMatrix(A.labels, B.labels, entries)
-    if max_effect_distance(apply_post_processing(A, nu), B) > tol.eq_abs:
+    # Written so that a NaN distance fails the check.
+    if not max_effect_distance(apply_post_processing(A, nu), B) <= tol.eq_abs:
         return None
     return nu
 
@@ -415,9 +417,9 @@ def povm_equivalent(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
 
     nu = StochasticMatrix(B.labels, A.labels, build(B.labels, A.labels, grp_b, grp_a, match))
     mu = StochasticMatrix(A.labels, B.labels, build(A.labels, B.labels, grp_a, grp_b, inverse))
-    if max_effect_distance(apply_post_processing(B, nu), A) > tol.eq_abs:
+    if not max_effect_distance(apply_post_processing(B, nu), A) <= tol.eq_abs:
         return None
-    if max_effect_distance(apply_post_processing(A, mu), B) > tol.eq_abs:
+    if not max_effect_distance(apply_post_processing(A, mu), B) <= tol.eq_abs:
         return None
     return nu, mu
 

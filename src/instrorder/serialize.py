@@ -4,12 +4,17 @@ simulation programs and reports.
 Complex numbers are stored as [re, im] pairs and matrices as row-major
 nested arrays, so documents are trivially parseable anywhere; floats print
 with shortest-round-trip precision, which keeps save/load exact.  save writes
-compact JSON (no whitespace between tokens) with the C encoder; load reads
-any whitespace, so indented documents load to the same payload.  Parsing is
-strict: unknown fields, wrong shapes, leaves that are not JSON numbers
-(true, "0.5", null), non-finite numbers (NaN, Infinity or values beyond the
-float range) and unsupported versions all raise ParseError naming the
-offending field.  A matrix is decoded by one numpy conversion; its entries
+compact JSON (no whitespace between tokens) with orjson, which prints each
+matrix straight from a float64 (rows, cols, 2) numpy array, so no Python
+float or list is built per entry.  Its number notation is orjson's: 0.00001
+for 1e-05 and 1e16 for 1e+16, the same doubles in any JSON reader.  orjson
+would write NaN and infinities as null, so save refuses non-finite values
+with a ValueError naming the field, before the file is opened.  load reads
+with the standard json module and any whitespace, so indented documents
+load to the same payload.  Parsing is strict: unknown fields, wrong shapes,
+leaves that are not JSON numbers (true, "0.5", null), non-finite numbers
+(NaN, Infinity or values beyond the float range) and unsupported versions
+all raise ParseError naming the offending field.  A matrix is decoded by one numpy conversion; its entries
 are scanned one by one only to name a malformed one.
 """
 
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
+import orjson
 
 from .errors import ParseError
 from .instrument import Instrument, QuantumOperation, State
@@ -90,8 +96,11 @@ def _unique(labeled):
 
 
 def _enc_matrix(M):
-    M = np.asarray(M, dtype=complex)
-    return np.stack((M.real, M.imag), -1).tolist()
+    """M as a C-contiguous float64 (rows, cols, 2) array of [re, im] pairs:
+    the bytes of a contiguous complex matrix, viewed, not copied.  orjson
+    refuses arrays that are not C-contiguous."""
+    M = np.ascontiguousarray(M, dtype=complex)
+    return M.view(float).reshape(*M.shape, 2)
 
 
 def _json_pairs(obj):
@@ -232,7 +241,7 @@ def _dec_witness(obj, where):
 def _enc_program(p: SimulationProgram):
     return {
         "components": [_enc_instrument(c) for c in p.components],
-        "probs": [float(w) for w in p.probs],
+        "probs": np.ascontiguousarray(p.probs, dtype=float),
         "processors": [
             {"component": i, "outcome": x, "instrument": _enc_instrument(R)}
             for (i, x), R in sorted(p.processors.items())
@@ -299,10 +308,39 @@ def document_for(obj) -> Document:
     raise TypeError(f"no document kind for {type(obj).__name__}")
 
 
-def encode(doc: Document) -> dict:
+def _non_finite(obj):
+    """The path below obj ("", ".key", "[i]...") of its first NaN or
+    infinite float or array entry, or None when every number is finite."""
+    if isinstance(obj, (float, np.ndarray)):
+        return None if np.isfinite(obj).all() else ""
+    if isinstance(obj, dict):
+        steps = ((f".{key}", value) for key, value in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        steps = ((f"[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    for step, value in steps:
+        rest = _non_finite(value)
+        if rest is not None:
+            return step + rest
+    return None
+
+
+def _dumps(doc: Document) -> bytes:
+    """The document's compact JSON text and a newline, as UTF-8 bytes."""
     if doc.kind not in _FORMATS:
         raise ValueError(f"unknown document kind {doc.kind!r}")
-    return {"kind": doc.kind, "version": doc.version, **_FORMATS[doc.kind][1](doc.payload)}
+    body = {"kind": doc.kind, "version": doc.version, **_FORMATS[doc.kind][1](doc.payload)}
+    # orjson writes NaN and infinities as null.
+    bad = _non_finite(body)
+    if bad is not None:
+        raise ValueError(f"{doc.kind}{bad}: expected finite numbers")
+    return orjson.dumps(body, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+
+
+def encode(doc: Document) -> dict:
+    """The JSON-native object (dicts, lists, str, int, float) save writes."""
+    return orjson.loads(_dumps(doc))
 
 
 def decode(obj) -> Document:
@@ -323,12 +361,10 @@ def decode(obj) -> Document:
 def save(doc: Document, path) -> None:
     if not isinstance(doc, Document):
         doc = document_for(doc)
-    # Encoded before open, so a failed encode leaves the file intact.  json.dumps
-    # without indent runs the C encoder; json.dump never does.
-    text = json.dumps(encode(doc), separators=(",", ":"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    # Encoded before open, so a failed encode leaves the file intact.
+    data = _dumps(doc)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def load(path) -> Document:

@@ -19,6 +19,7 @@ from instrorder import (
     random_state,
     save,
     simulate,
+    State,
     trash_and_prepare,
     witness_detailed_to_original,
     witness_error,
@@ -101,6 +102,27 @@ def test_classify_trash_and_prepare(tmp_path, capsys):
     assert report["measure_and_prepare"] is True
     assert report["identity_class"] is False
     assert "trash_and_prepare_certificate" in report
+
+
+def test_classify_json_text_keeps_python_float_notation(tmp_path, capsys):
+    # documents print 1e-05 as 0.00001, but the classify report keeps the
+    # text of json.dumps(report, indent=2) with plain lists in its
+    # certificates: Python's repr of every float
+    states = [State(2, np.diag([1 - 1e-5, 1e-5])), State(2, np.array([[0.5, -0.5j], [0.5j, 0.5]]))]
+    path = _write(tmp_path, "t.json", trash_and_prepare([0.25, 0.75], states, dim_in=2))
+    assert main(["classify", "--json", path]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert out == json.dumps(report, indent=2) + "\n"
+    assert '"eq_abs": 1e-09' in out and "0.00001" not in out
+    certificate = report["trash_and_prepare_certificate"]
+    assert certificate["states"] == [
+        [[[0.99999, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1e-05, 0.0]]],
+        [[[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.5], [0.5, 0.0]]],
+    ]
+    assert main(["classify", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert f"trash_and_prepare_certificate: {json.dumps(certificate)}" in lines
 
 
 def test_classify_identity_channel(tmp_path, capsys):

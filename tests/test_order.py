@@ -237,6 +237,21 @@ def test_witness_error_counts_processor_normalization():
         _checked(I, processors, I, DEFAULT_TOL)
 
 
+def test_nan_witness_error_is_rejected():
+    # a NaN target Choi matrix after a finite one: max() alone would keep the
+    # finite distance, and `err > eq_abs` is False for NaN
+    I = random_instrument(2, 2, 2, 2, seed=5)
+    D = detailed_instrument(I)
+    w = witness_detailed_to_original(I)
+    assert witness_error(D, w) < 1e-12
+    last = w.target_labels[-1]
+    w.target_chois[last] = np.full_like(w.target_chois[last], np.nan)
+    assert np.isnan(witness_error(D, w))
+    outcomes = I.outcomes[:-1] + [(last, QuantumOperation(2, 2, [np.full((2, 2), np.nan)]))]
+    with pytest.raises(SolverError, match="missed its target by nan"):
+        _checked(D, w.processors, Instrument(2, 2, outcomes), DEFAULT_TOL)
+
+
 def test_pull_back_processors_are_instruments():
     # witness_error holds processors to trace preservation as well; this
     # checks the closing rule of the pull-back against validate_instrument

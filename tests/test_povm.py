@@ -61,6 +61,14 @@ def test_stochastic_matrix_invariants():
         StochasticMatrix(["x"], ["u"], [[1.0], [1.0]])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_stochastic_matrix_rejects_non_finite_entries(bad):
+    # NaN passes every comparison-based check (min, row sums), so it is
+    # refused on its own
+    with pytest.raises(ValueError, match="must be finite"):
+        StochasticMatrix(["x", "w"], ["u", "v"], [[bad, 1.0], [1.0, 0.0]])
+
+
 def test_stochastic_matrix_lookup_by_label():
     nu = StochasticMatrix(["x", "w"], ["u", "v"], [[0.25, 0.75], [1.0, 0.0]])
     assert nu["x", "v"] == 0.75
@@ -444,3 +452,22 @@ def test_trivial_povm_labels():
     T = trivial_povm([0.5, 0.5], 2, labels=["hi", "lo"])
     assert T.labels == ["hi", "lo"]
     assert validate_povm(T).ok
+
+
+def test_nan_distance_propagates_through_the_maximum():
+    # Python's max keeps whichever of (d, NaN) came first; the replay
+    # distance must be NaN wherever the NaN effect sits
+    A = basis_pvm(2)
+    for bad in A.labels:
+        B = Povm(2, [(x, np.full((2, 2), np.nan) if x == bad else E) for x, E in A.outcomes])
+        assert np.isnan(max_effect_distance(A, B))
+
+
+def test_nan_replay_distance_is_not_accepted(monkeypatch):
+    A = random_povm(3, 2, seed=13)
+    B = relabel(A, {"0": "a", "1": "a", "2": "b"})
+    assert find_post_processing(A, B) is not None
+    assert povm_equivalent(A, A) is not None
+    monkeypatch.setattr(instrorder.povm, "max_effect_distance", lambda P, Q: float("nan"))
+    assert find_post_processing(A, B) is None
+    assert povm_equivalent(A, A) is None

@@ -6,6 +6,7 @@ import pytest
 
 from instrorder import (
     ParseError,
+    Povm,
     SimulationProgram,
     choi,
     load,
@@ -362,6 +363,96 @@ def test_failed_save_keeps_the_old_file(tmp_path):
     with pytest.raises(ValueError):
         save(Document("frame", {}), path)
     assert path.read_text() == "old contents\n"
+
+
+def test_save_refuses_nan_state_and_keeps_the_old_file(tmp_path):
+    # orjson would write NaN as null; the field is named before open
+    path = tmp_path / "keep.json"
+    path.write_text("old contents\n")
+    matrix = np.eye(2, dtype=complex)
+    matrix[1, 0] = complex(0.0, np.nan)
+    with pytest.raises(ValueError, match=r"^state\.matrix: expected finite numbers$"):
+        save(State(2, matrix), path)
+    assert path.read_text() == "old contents\n"
+
+
+def test_save_refuses_nan_program_probs_and_keeps_the_old_file(tmp_path):
+    path = tmp_path / "keep.json"
+    path.write_text("old contents\n")
+    program = _program()
+    program.probs = np.array([np.nan, 1.0])
+    with pytest.raises(ValueError, match=r"^program\.probs: expected finite numbers$"):
+        save(program, path)
+    assert path.read_text() == "old contents\n"
+
+
+def test_save_names_a_nested_non_finite_matrix(tmp_path):
+    w = SAMPLES["witness"]()
+    y = w.target_labels[1]
+    w.target_chois[y] = w.target_chois[y].copy()
+    w.target_chois[y][2, 0] = np.inf
+    with pytest.raises(ValueError, match=r"^witness\.targets\[1\]\.choi: expected finite"):
+        save(w, tmp_path / "w.json")
+    assert not (tmp_path / "w.json").exists()
+
+
+def test_save_refuses_non_finite_report_float(tmp_path):
+    report = {"tolerances": {"eq_abs": float("inf")}, "a": [1.0, -float("inf")]}
+    with pytest.raises(ValueError, match=r"^report\.report\.tolerances\.eq_abs: expected finite"):
+        save(report, tmp_path / "r.json")
+    report["tolerances"]["eq_abs"] = 1e-9
+    with pytest.raises(ValueError, match=r"^report\.report\.a\[1\]: expected finite"):
+        save(report, tmp_path / "r.json")
+
+
+# Printed by orjson as 0.00001, 0.000089 and 1e16; the rest as Python does.
+EDGE_DOUBLES = [1e-5, 8.9e-05, 1e16, 5e-324, -0.0, 1.7976931348623157e308]
+
+
+def _edge_and_random_doubles():
+    """The edge doubles, their negatives and 1000 random finite 64-bit
+    patterns (subnormals included), as a float64 array."""
+    bits = np.random.default_rng(11).integers(0, 2**64, size=1100, dtype=np.uint64)
+    random = bits.view(float)
+    random = random[np.isfinite(random)][:1000]
+    assert len(random) == 1000
+    return np.concatenate([EDGE_DOUBLES, np.negative(EDGE_DOUBLES), random])
+
+
+def _square(values, dim):
+    """values, padded with zeros, as a dim x dim complex matrix."""
+    pairs = np.zeros(2 * dim * dim)
+    pairs[: len(values)] = values
+    return pairs.view(complex).reshape(dim, dim)
+
+
+def test_number_notation_round_trips_bitwise(tmp_path):
+    values = _edge_and_random_doubles()
+    half = (len(values) + 1) // 2
+    state = State(23, _square(values, 23))
+    povm = Povm(17, [("a", _square(values[:half], 17)), ("b", _square(values[half:], 17))])
+    cases = [
+        (state, lambda s: [s.matrix], lambda raw: [raw["matrix"]]),
+        (povm, lambda P: P.effects, lambda raw: [e["effect"] for e in raw["outcomes"]]),
+    ]
+    for obj, matrices, fields in cases:
+        path = tmp_path / "doc.json"
+        save(obj, path)
+        text = path.read_text()
+        assert "0.00001" in text and "1e16" in text and "1e-05" not in text
+        # the stdlib reader, which the benchmark oracles use, reads the same bits
+        stdlib = [np.array(f, dtype=float).view(complex)[..., 0] for f in fields(json.loads(text))]
+        for want, got, read in zip(matrices(obj), matrices(load(path).payload), stdlib):
+            assert got.tobytes() == want.tobytes()
+            assert read.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_encode_is_what_save_writes(tmp_path, kind):
+    doc = document_for(SAMPLES[kind]())
+    path = tmp_path / "doc.json"
+    save(doc, path)
+    assert encode(doc) == json.loads(path.read_text())
 
 
 @pytest.mark.parametrize(
