@@ -14,8 +14,9 @@ with the standard json module and any whitespace, so indented documents
 load to the same payload.  Parsing is strict: unknown fields, wrong shapes,
 leaves that are not JSON numbers (true, "0.5", null), non-finite numbers
 (NaN, Infinity or values beyond the float range) and unsupported versions
-all raise ParseError naming the offending field.  A matrix is decoded by one numpy conversion; its entries
-are scanned one by one only to name a malformed one.
+all raise ParseError naming the offending field.  A matrix is decoded by
+one numpy conversion; its entries are scanned one by one only to name a
+malformed one.
 """
 
 from __future__ import annotations
