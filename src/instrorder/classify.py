@@ -21,7 +21,6 @@ from .instrument import (
     minimal_kraus,
     partial_trace_input,
     partial_trace_output,
-    zero_operation,
 )
 from .linalg import DEFAULT_TOL, Tolerance, frob_dist, hermitize, numerical_rank
 from .povm import Povm
@@ -139,7 +138,7 @@ def identity_class_certificate(I: Instrument, tol: Tolerance = DEFAULT_TOL):
             entries.append((float(gamma[k]), C / np.sqrt(gamma[k])))
         branches[label] = entries
     cert = IdentityClassCertificate(d_in, d_out, branches)
-    if certificate_error(I, cert) > tol.eq_abs:
+    if not certificate_error(I, cert) <= tol.eq_abs:  # so that a NaN error fails
         return None
     total = sum(w for entry in branches.values() for w, _ in entry)
     if abs(total - 1.0) > tol.eq_abs:
@@ -149,25 +148,21 @@ def identity_class_certificate(I: Instrument, tol: Tolerance = DEFAULT_TOL):
 
 def certificate_error(I: Instrument, cert: IdentityClassCertificate) -> float:
     """Worst defect of the certificate against I: isometry and orthogonality
-    defects of the branches plus Choi distance of the rebuilt operations."""
-    worst = 0.0
+    defects of the branches plus Choi distance of the rebuilt operations.
+    NaN if any of them is NaN."""
+    errors = [0.0]
     eye = np.eye(cert.dim_in)
     for label, op in I.outcomes:
         entry = cert.branches.get(label)
         if entry is None:
             return np.inf
         for i, (w, V) in enumerate(entry):
-            worst = max(worst, frob_dist(V.conj().T @ V, eye))
+            errors.append(frob_dist(V.conj().T @ V, eye))
             for w2, V2 in entry[i + 1 :]:
-                worst = max(worst, frob_dist(V2.conj().T @ V, np.zeros_like(eye)))
-        if entry:
-            rebuilt = QuantumOperation(
-                cert.dim_in, cert.dim_out, [np.sqrt(w) * V for w, V in entry]
-            )
-        else:
-            rebuilt = zero_operation(cert.dim_in, cert.dim_out)
-        worst = max(worst, frob_dist(rebuilt.choi_matrix, op.choi_matrix))
-    return worst
+                errors.append(frob_dist(V2.conj().T @ V, np.zeros_like(eye)))
+        rebuilt = QuantumOperation(cert.dim_in, cert.dim_out, [np.sqrt(w) * V for w, V in entry])
+        errors.append(frob_dist(rebuilt.choi_matrix, op.choi_matrix))
+    return float(np.max(errors))
 
 
 def is_extreme(I: Instrument, tol: Tolerance = DEFAULT_TOL) -> bool:

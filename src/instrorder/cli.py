@@ -32,7 +32,7 @@ from .instrument import (
     validate_instrument,
     validate_state,
 )
-from .linalg import Tolerance
+from .linalg import DEFAULT_TOL, Tolerance
 from .order import (
     witness_indecomposable_equivalence,
     witness_map_post_processing,
@@ -283,10 +283,10 @@ def cmd_random(args) -> int:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-eq", type=float, default=1e-9, metavar="EPS",
-                        help="absolute equality tolerance (default 1e-9)")
-    common.add_argument("--tol-rank", type=float, default=1e-8, metavar="EPS",
-                        help="relative rank cutoff (default 1e-8)")
+    common.add_argument("--tol-eq", type=float, default=DEFAULT_TOL.eq_abs, metavar="EPS",
+                        help="absolute equality tolerance (default %(default)g)")
+    common.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel, metavar="EPS",
+                        help="relative rank cutoff (default %(default)g)")
     common.add_argument("--output", metavar="PATH", help="write the resulting document here")
     common.add_argument("--json", action="store_true", help="print machine-readable JSON")
 

@@ -11,10 +11,17 @@ Both the Choi matrix and the minimal Kraus form are read from one stacked
 matrix V whose columns are the vec(K_k) (_kraus_columns): C = V V†, and the
 minimal Kraus form comes from a thin SVD of V.
 
-Operations are immutable: Kraus lists are not changed after construction,
-so each operation caches its Choi matrix and, per Tolerance, its minimal
-Kraus form (see minimal_kraus).  Every classifier and witness reads the
-Choi rank from that one cached form.
+An operation's Kraus form is one C-contiguous, read-only complex array of
+shape (k, dim_out, dim_in), copied from the matrices it is built from.  The
+constructor owns the zero rule: matrices that are exactly zero are dropped,
+and when none is left the array holds one zero matrix, so an empty list
+builds the zero operation.  Constructions therefore hand over whatever
+products or scaled matrices they form and never filter or pad them.
+
+Operations are immutable, which the read-only array enforces, so each
+operation caches its Choi matrix and, per Tolerance, its minimal Kraus form
+(see minimal_kraus).  Every classifier and witness reads the Choi rank from
+that one cached form.
 """
 
 from __future__ import annotations
@@ -33,27 +40,34 @@ from .linalg import (
     is_hermitian,
     psd_sqrt,
 )
-from .povm import Povm, ValidationReport, first_index, trivial_povm
+from .povm import _STOCH_TOL, Povm, ValidationReport, first_index, trivial_povm
 
 
 @dataclass(eq=False)
 class QuantumOperation:
-    """Completely positive map given by Kraus matrices of shape (dim_out, dim_in)."""
+    """Completely positive map given by Kraus matrices of shape (dim_out, dim_in),
+    kept as one read-only (k, dim_out, dim_in) complex array: exactly zero
+    matrices are dropped (a NaN matrix is not zero), and with none left the
+    array holds one zero matrix."""
 
     dim_in: int
     dim_out: int
-    kraus: list
+    kraus: np.ndarray
     _minimal: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self.kraus = [np.asarray(K, dtype=complex) for K in self.kraus]
-        if not self.kraus:
-            raise ValueError("at least one Kraus matrix required (use a zero matrix)")
+        shape = (self.dim_out, self.dim_in)
         for K in self.kraus:
-            if K.shape != (self.dim_out, self.dim_in):
-                raise DimensionMismatch(
-                    f"Kraus shape {K.shape}, expected ({self.dim_out}, {self.dim_in})"
-                )
+            if np.shape(K) != shape:
+                raise DimensionMismatch(f"Kraus shape {np.shape(K)}, expected {shape}")
+        ks = np.array(self.kraus, dtype=complex, order="C").reshape(-1, *shape)
+        nonzero = ks.any(axis=(1, 2)).tolist()  # a list: all() on it is cheap
+        if not all(nonzero):
+            ks = ks[nonzero]
+        if not len(ks):
+            ks = np.zeros((1, *shape), dtype=complex)
+        ks.flags.writeable = False
+        self.kraus = ks
 
     @cached_property
     def choi_matrix(self):
@@ -62,26 +76,25 @@ class QuantumOperation:
 
     @property
     def effect(self):
-        """Σ K†K, the induced effect on the input space."""
-        E = np.zeros((self.dim_in, self.dim_in), dtype=complex)
-        for K in self.kraus:
-            E += K.conj().T @ K
-        return E
+        """Σ K†K, the induced effect on the input space, formed per Kraus
+        matrix and summed in Kraus order: one stacked product S†S would
+        round differently, and effects reach documents (induced POVMs,
+        witnesses)."""
+        ks = self.kraus
+        return (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=complex)
         if rho.shape != (self.dim_in, self.dim_in):
             raise DimensionMismatch(f"state shape {rho.shape}, expected square of {self.dim_in}")
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for K in self.kraus:
-            out += K @ rho @ K.conj().T
-        return out
+        ks = self.kraus
+        return (ks @ rho @ ks.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 def _kraus_columns(op: QuantumOperation) -> np.ndarray:
     """V with column k = vec(K_k), (dim_in·dim_out) × len(kraus), so that
     the Choi matrix is V V†."""
-    return np.array(op.kraus).transpose(2, 1, 0).reshape(op.dim_in * op.dim_out, -1)
+    return op.kraus.transpose(2, 1, 0).reshape(op.dim_in * op.dim_out, -1)
 
 
 @dataclass(eq=False)
@@ -184,9 +197,7 @@ def minimal_kraus(op: QuantumOperation, tol: Tolerance = DEFAULT_TOL) -> Quantum
     u, s, _ = np.linalg.svd(_kraus_columns(op), full_matrices=False)
     w = s * s
     kept = np.flatnonzero(w > tol.rank_rel * w[0]) if w[0] > 0.0 else []
-    ks = [(s[i] * u[:, i]).reshape(op.dim_in, op.dim_out).T for i in kept]
-    if not ks:
-        ks = [np.zeros((op.dim_out, op.dim_in), dtype=complex)]
+    ks = (s[kept] * u[:, kept]).T.reshape(-1, op.dim_in, op.dim_out).transpose(0, 2, 1)
     op._minimal[tol] = QuantumOperation(op.dim_in, op.dim_out, ks)
     return op._minimal[tol]
 
@@ -196,7 +207,7 @@ def is_zero_operation(op: QuantumOperation, tol: Tolerance = DEFAULT_TOL) -> boo
 
 
 def zero_operation(dim_in, dim_out) -> QuantumOperation:
-    return QuantumOperation(dim_in, dim_out, [np.zeros((dim_out, dim_in), dtype=complex)])
+    return QuantumOperation(dim_in, dim_out, [])
 
 
 def routed(op: QuantumOperation, labels, label) -> Instrument:
@@ -229,14 +240,13 @@ def _closed_processor(kraus_by_label, dim_in, dim_out) -> Instrument:
     """Instrument with the given Kraus lists per label, made trace preserving
     by complete_channel: the Kraus matrices it adds for the flattened lists
     go to the first label, and a label with an empty list gets the zero
-    operation."""
+    operation, as QuantumOperation builds it."""
     flat = [K for ks in kraus_by_label.values() for K in ks]
     extra = complete_channel(flat, dim_in, dim_out)[len(flat):]
     outcomes = []
     for i, (label, ks) in enumerate(kraus_by_label.items()):
         ks = ks + extra if i == 0 else ks
-        op = QuantumOperation(dim_in, dim_out, ks) if ks else zero_operation(dim_in, dim_out)
-        outcomes.append((label, op))
+        outcomes.append((label, QuantumOperation(dim_in, dim_out, ks)))
     return Instrument(dim_in, dim_out, outcomes)
 
 
@@ -313,7 +323,7 @@ def induced_povm(I: Instrument) -> Povm:
 
 def total_channel(I: Instrument) -> QuantumOperation:
     """Forget the outcome: one operation carrying every Kraus matrix."""
-    ks = [K for op in I.operations for K in op.kraus]
+    ks = np.concatenate([op.kraus for op in I.operations])
     return QuantumOperation(I.dim_in, I.dim_out, ks)
 
 
@@ -353,8 +363,6 @@ def measure_and_prepare(A: Povm, states, tol: Tolerance = DEFAULT_TOL) -> Instru
         for i in np.nonzero(p_keep)[0]:
             for j in np.nonzero(q_keep)[0]:
                 ks.append(np.sqrt(p[i] * q[j]) * np.outer(psi[:, i], phi[:, j].conj()))
-        if not ks:
-            ks = [np.zeros((d_out, A.dim), dtype=complex)]
         outcomes.append((label, QuantumOperation(A.dim, d_out, ks)))
     return Instrument(A.dim, d_out, outcomes)
 
@@ -417,21 +425,13 @@ def compose_post_processing(I: Instrument, processors) -> Instrument:
             raise DimensionMismatch("processors prepare on different spaces")
         if R.labels != ref.labels:
             raise OutcomeSetMismatch("processors must share one outcome label sequence")
+    shape = (-1, ref.dim_out, I.dim_in)
     outcomes = []
     for y in ref.labels:
-        ks = []
-        for x, op in I.outcomes:
-            for Rk in processors[x].operation(y).kraus:
-                if not np.count_nonzero(Rk):
-                    continue
-                for Ki in op.kraus:
-                    if not np.count_nonzero(Ki):
-                        continue
-                    prod = Rk @ Ki
-                    if np.count_nonzero(prod):
-                        ks.append(prod)
-        if not ks:
-            ks = [np.zeros((ref.dim_out, I.dim_in), dtype=complex)]
+        ks = np.concatenate([
+            (processors[x].operation(y).kraus[:, None] @ op.kraus).reshape(shape)
+            for x, op in I.outcomes
+        ])
         outcomes.append((y, QuantumOperation(I.dim_in, ref.dim_out, ks)))
     return Instrument(I.dim_in, ref.dim_out, outcomes)
 
@@ -458,19 +458,21 @@ def relabel_instrument(I: Instrument, f) -> Instrument:
 
 
 def scale_operation(op: QuantumOperation, s: float) -> QuantumOperation:
-    if s == 0.0:
-        return zero_operation(op.dim_in, op.dim_out)
-    root = np.sqrt(s)
-    return QuantumOperation(op.dim_in, op.dim_out, [root * K for K in op.kraus])
+    return QuantumOperation(op.dim_in, op.dim_out, np.sqrt(s) * op.kraus)
 
 
 def check_weights(p, components) -> np.ndarray:
     """p as a float array, checked to hold one weight per component and to
-    form a probability distribution."""
+    form a probability distribution within _STOCH_TOL, the slack of
+    StochasticMatrix rows.  The comparisons are written so that NaN fails."""
     p = np.asarray(p, dtype=float)
     if len(p) != len(components):
         raise ValueError("one weight per component required")
-    if p.min(initial=0.0) < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
+    if not (
+        np.isfinite(p).all()
+        and p.min(initial=0.0) >= -_STOCH_TOL
+        and abs(p.sum() - 1.0) <= _STOCH_TOL
+    ):
         raise ValueError("weights must form a probability distribution")
     return p
 
@@ -496,15 +498,12 @@ def mix(instruments, p) -> Instrument:
                 labels.append(l)
     outcomes = []
     for l in labels:
-        ks = []
-        for w, J in zip(p, instruments):
-            if w <= 0.0 or l not in J.labels:
-                continue
-            for K in J.operation(l).kraus:
-                if np.count_nonzero(K):
-                    ks.append(np.sqrt(w) * K)
-        if not ks:
-            ks = [np.zeros((first.dim_out, first.dim_in), dtype=complex)]
+        ks = [
+            K
+            for w, J in zip(p, instruments)
+            if w > 0.0 and l in J.labels
+            for K in np.sqrt(w) * J.operation(l).kraus
+        ]
         outcomes.append((l, QuantumOperation(first.dim_in, first.dim_out, ks)))
     return Instrument(first.dim_in, first.dim_out, outcomes)
 

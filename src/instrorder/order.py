@@ -97,7 +97,7 @@ def witness_error(source: Instrument, w: InstrumentWitness) -> float:
         for y in w.target_labels
     ]
     for R in w.processors.values():
-        stacked = np.concatenate([K for op in R.operations for K in op.kraus])
+        stacked = np.concatenate([op.kraus for op in R.operations]).reshape(-1, R.dim_in)
         errors.append(frob_dist(stacked.conj().T @ stacked, np.eye(R.dim_in)))
     return float(np.max(errors))
 
@@ -175,7 +175,7 @@ def witness_identity_reversal(
         cert = identity_class_certificate(I, tol)
         if cert is None:
             raise PreconditionViolated("instrument is not in the identity class")
-    if certificate_error(I, cert) > tol.eq_abs:
+    if not certificate_error(I, cert) <= tol.eq_abs:  # so that a NaN error fails
         raise CertificateMismatch("certificate does not reproduce the instrument")
     d_in, d_out = I.dim_in, I.dim_out
     processors = {}

@@ -19,7 +19,8 @@ from .feasibility import solve_nonnegative
 from .linalg import DEFAULT_TOL, Tolerance, frob_dist, hermitize, is_hermitian, numerical_rank
 
 # Not a Tolerance field: StochasticMatrix takes no tolerance, and this slack
-# only absorbs float64 rounding in its entries and row sums.
+# only absorbs float64 rounding in its entries and row sums (and in the
+# mixture weights instrument.check_weights accepts).
 _STOCH_TOL = 1e-12
 
 

@@ -97,9 +97,9 @@ def _unique(labeled):
 
 
 def _enc_matrix(M):
-    """M as a C-contiguous float64 (rows, cols, 2) array of [re, im] pairs:
-    the bytes of a contiguous complex matrix, viewed, not copied.  orjson
-    refuses arrays that are not C-contiguous."""
+    """M as a C-contiguous float64 (..., rows, cols, 2) array of [re, im]
+    pairs: the bytes of a contiguous complex matrix, or stack of matrices,
+    viewed, not copied.  orjson refuses arrays that are not C-contiguous."""
     M = np.ascontiguousarray(M, dtype=complex)
     return M.view(float).reshape(*M.shape, 2)
 
@@ -168,7 +168,7 @@ def _enc_instrument(I: Instrument):
         "dim_in": I.dim_in,
         "dim_out": I.dim_out,
         "outcomes": [
-            {"label": l, "kraus": [_enc_matrix(K) for K in op.kraus]} for l, op in I.outcomes
+            {"label": l, "kraus": _enc_matrix(op.kraus)} for l, op in I.outcomes
         ],
     }
 

@@ -43,30 +43,18 @@ class SimulationProgram:
         self.probs = check_weights(self.probs, self.components)
 
 
-def _pad_output(I: Instrument, dim_out: int) -> Instrument:
-    """Embed an instrument's output space into a larger one by zero rows."""
-    if I.dim_out == dim_out:
+def _padded(I: Instrument, dim_in: int, dim_out: int) -> Instrument:
+    """Embed an instrument into larger input and output spaces by zero
+    columns and rows; the extension acts as zero off the embedded input
+    subspace, which is all the tracked mixture ever feeds it."""
+    if (I.dim_in, I.dim_out) == (dim_in, dim_out):
         return I
-    pad = dim_out - I.dim_out
-    outcomes = []
-    for label, op in I.outcomes:
-        ks = [np.vstack([K, np.zeros((pad, I.dim_in), dtype=complex)]) for K in op.kraus]
-        outcomes.append((label, QuantumOperation(I.dim_in, dim_out, ks)))
-    return Instrument(I.dim_in, dim_out, outcomes)
-
-
-def _pad_input(I: Instrument, dim_in: int) -> Instrument:
-    """Extend an instrument to a larger input space by zero columns; the
-    extension acts as zero off the embedded subspace, which is all the
-    tracked mixture ever feeds it."""
-    if I.dim_in == dim_in:
-        return I
-    pad = dim_in - I.dim_in
-    outcomes = []
-    for label, op in I.outcomes:
-        ks = [np.hstack([K, np.zeros((I.dim_out, pad), dtype=complex)]) for K in op.kraus]
-        outcomes.append((label, QuantumOperation(dim_in, I.dim_out, ks)))
-    return Instrument(dim_in, I.dim_out, outcomes)
+    pad = ((0, 0), (0, dim_out - I.dim_out), (0, dim_in - I.dim_in))
+    outcomes = [
+        (label, QuantumOperation(dim_in, dim_out, np.pad(op.kraus, pad)))
+        for label, op in I.outcomes
+    ]
+    return Instrument(dim_in, dim_out, outcomes)
 
 
 def simulate(program: SimulationProgram) -> Instrument:
@@ -85,7 +73,7 @@ def simulate(program: SimulationProgram) -> Instrument:
             "processors must be keyed exactly by (component index, outcome label)"
         )
     common = max(c.dim_out for c in comps)
-    mixed = tracked_mix([_pad_output(c, common) for c in comps], program.probs)
+    mixed = tracked_mix([_padded(c, c.dim_in, common) for c in comps], program.probs)
     keyed = {}
     for (i, x), R in program.processors.items():
         if R.dim_in != comps[i].dim_out:
@@ -93,7 +81,7 @@ def simulate(program: SimulationProgram) -> Instrument:
                 f"processor for component {i} outcome {x!r} expects dimension "
                 f"{R.dim_in}, component outputs {comps[i].dim_out}"
             )
-        keyed[pair_label(i + 1, x)] = _pad_input(R, common)
+        keyed[pair_label(i + 1, x)] = _padded(R, common, R.dim_out)
     return compose_post_processing(mixed, keyed)
 
 

@@ -255,3 +255,11 @@ def test_depolarizing_is_not_clean():
 def test_measure_and_prepare_is_not_clean():
     M = measure_and_prepare(basis_pvm(2), [random_state(2, 16), random_state(2, 17)])
     assert not is_post_processing_clean(M)
+
+
+def test_certificate_error_propagates_nan():
+    J = identity_instrument(2)
+    cert = identity_class_certificate(J)
+    (w, V), = cert.branches["0"]
+    cert.branches["0"] = [(w, V * np.nan)]
+    assert np.isnan(certificate_error(J, cert))

@@ -27,6 +27,7 @@ from instrorder import (
 from instrorder import cli
 from instrorder.cli import main
 from instrorder.errors import SolverError
+from instrorder.linalg import DEFAULT_TOL
 from instrorder.povm import proportional_inequivalent_pair
 from instrorder.serialize import document_for, encode
 
@@ -398,3 +399,9 @@ def test_usage_errors_exit_2(capsys):
     assert main(["validate"]) == 2
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_tolerance_flags_default_to_default_tol():
+    args = cli._build_parser().parse_args(["validate", "doc.json"])
+    assert args.tol_eq == DEFAULT_TOL.eq_abs
+    assert args.tol_rank == DEFAULT_TOL.rank_rel

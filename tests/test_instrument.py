@@ -41,7 +41,7 @@ from instrorder import (
     validate_state,
     zero_operation,
 )
-from instrorder.instrument import complete_channel
+from instrorder.instrument import check_weights, complete_channel
 from instrorder.linalg import Tolerance, frob_dist, numerical_rank
 
 from helpers import basis_pvm, minimal_kraus_eigh
@@ -471,3 +471,96 @@ def test_validate_state():
     assert not validate_state(State(2, np.diag([0.6, 0.6]).astype(complex))).ok
     assert not validate_state(State(2, np.array([[1.0, 1.0], [0.0, 0.0]]))).ok
     assert not validate_state(State(2, np.diag([1.5, -0.5]).astype(complex))).ok
+
+
+def test_operation_keeps_its_own_copy_of_the_kraus_matrices():
+    K = np.eye(2, dtype=complex)
+    op = QuantumOperation(2, 2, [K])
+    K *= 2
+    assert np.trace(op.effect).real == 2.0
+    assert np.trace(op.choi_matrix).real == 2.0
+    stack = np.array([np.eye(2), PAULI[1]], dtype=complex)
+    op = QuantumOperation(2, 2, stack)
+    op.choi_matrix
+    stack *= 2
+    assert np.trace(op.effect).real == 4.0
+    assert np.trace(op.choi_matrix).real == 4.0
+
+
+def test_kraus_matrices_are_one_read_only_array():
+    op = QuantumOperation(3, 2, [np.asfortranarray(np.ones((2, 3)))])
+    assert op.kraus.shape == (1, 2, 3)
+    assert op.kraus.dtype == complex
+    assert op.kraus.flags.c_contiguous
+    with pytest.raises(ValueError):
+        op.kraus[0][0, 0] = 1
+
+
+def test_kraus_shape_mismatch_names_the_shape():
+    with pytest.raises(DimensionMismatch, match=r"Kraus shape \(3, 2\), expected \(2, 3\)"):
+        QuantumOperation(3, 2, [np.zeros((2, 3)), np.zeros((3, 2))])
+
+
+def test_empty_and_all_zero_kraus_lists_give_the_zero_operation():
+    ref = zero_operation(3, 2)
+    assert ref.kraus.shape == (1, 2, 3)
+    for ks in ([], [np.zeros((2, 3))] * 3):
+        op = QuantumOperation(3, 2, ks)
+        assert op.kraus.shape == (1, 2, 3)
+        assert not op.kraus.any()
+        assert choi_distance(op, ref) == 0.0
+
+
+def test_zero_kraus_matrices_are_dropped_and_nan_ones_kept():
+    Z = np.zeros((2, 2))
+    N = np.full((2, 2), np.nan)
+    op = QuantumOperation(2, 2, [Z, PAULI[1], Z, N])
+    assert len(op.kraus) == 2
+    assert np.array_equal(op.kraus[0], PAULI[1])
+    assert np.isnan(op.kraus[1]).all()
+
+
+def test_effect_and_application_equal_the_per_matrix_sums():
+    I = random_instrument(2, 3, 2, 3, seed=7)
+    rho = random_state(3, seed=8).matrix
+    for op in I.operations:
+        E = np.zeros((3, 3), dtype=complex)
+        out = np.zeros((2, 2), dtype=complex)
+        for K in op.kraus:
+            E += K.conj().T @ K
+            out += K @ rho @ K.conj().T
+        assert np.array_equal(op.effect, E)
+        assert np.array_equal(op(rho), out)
+
+
+def test_compose_orders_products_processor_kraus_first():
+    A = [PAULI[0], PAULI[1]]
+    B = [PAULI[2], np.diag([1.0, 2.0])]
+    I = Instrument(2, 2, [("0", QuantumOperation(2, 2, A))])
+    R = Instrument(2, 2, [("y", QuantumOperation(2, 2, B))])
+    J = compose_post_processing(I, {"0": R})
+    expected = [Rk @ Ki for Rk in B for Ki in A]
+    assert np.array_equal(J.operation("y").kraus, np.array(expected))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [[np.nan, 0.5], [np.nan, 1.0], [np.inf, -np.inf], [0.5, 0.5 + 1e-11], [-1e-11, 1.0 + 1e-11]],
+)
+def test_check_weights_rejects_non_distributions(p):
+    with pytest.raises(ValueError, match="probability distribution"):
+        check_weights(p, ["a", "b"])
+
+
+def test_check_weights_allows_rounding_slack():
+    p = check_weights([-1e-13, 1.0 + 1e-13], ["a", "b"])
+    assert p.dtype == float
+    with pytest.raises(ValueError, match="one weight per component"):
+        check_weights([1.0], ["a", "b"])
+
+
+def test_mixtures_reject_nan_weights():
+    I = identity_instrument(2)
+    for build in (mix, tracked_mix):
+        with pytest.raises(ValueError, match="probability distribution"):
+            build([I, I], [np.nan, 0.5])

@@ -380,3 +380,12 @@ def test_successful_witness_implies_necessary_condition():
         w = witness_indecomposable_equivalence(I, J)
         assert w is not None
         assert check_povm_necessary_condition(I, J)
+
+
+def test_identity_reversal_rejects_nan_certificate():
+    J = identity_instrument(2)
+    cert = identity_class_certificate(J)
+    (w, V), = cert.branches["0"]
+    cert.branches["0"] = [(w, V * np.nan)]
+    with pytest.raises(CertificateMismatch):
+        witness_identity_reversal(J, cert)

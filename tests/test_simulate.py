@@ -141,6 +141,12 @@ def test_program_validates_distribution():
         SimulationProgram([I], [0.7], _identity_processors(I))
 
 
+def test_program_rejects_nan_weights():
+    I = random_instrument(2, 2, 2, 1, seed=3)
+    with pytest.raises(ValueError, match="probability distribution"):
+        SimulationProgram([I, I], [np.nan, 0.5], _identity_processors(I))
+
+
 def test_program_validates_processor_dims():
     I = random_instrument(2, 2, 3, 1, seed=4)
     bad = {(0, x): identity_instrument(2) for x in I.labels}  # needs dim_in 3
