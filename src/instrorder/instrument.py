@@ -203,7 +203,8 @@ def minimal_kraus(op: QuantumOperation, tol: Tolerance = DEFAULT_TOL) -> Quantum
 
 
 def is_zero_operation(op: QuantumOperation, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return np.trace(op.choi_matrix).real <= tol.eq_abs
+    """tr C = Σ‖K‖²_F, read from the Kraus matrices without forming C."""
+    return np.vdot(op.kraus, op.kraus).real <= tol.eq_abs
 
 
 def zero_operation(dim_in, dim_out) -> QuantumOperation:

@@ -1,7 +1,10 @@
 """POVMs and the classical post-processing preorder on them.
 
-A POVM here is an ordered list of (label, effect) pairs on a fixed
-finite-dimensional space.  B is a post-processing of A when there is a
+A POVM here is an ordered family of labeled effects on a fixed
+finite-dimensional space, kept as a list of labels and one read-only
+complex array of shape (n, dim, dim) that the constructor copies from its
+input and whose shape it checks; every later step reads that stack whole.
+B is a post-processing of A when there is a
 row-stochastic matrix ν with B(y) = Σ_x ν_xy A(x); deciding that is a linear
 feasibility problem, posed in coordinates of the span of A's effects.  When
 those effects are linearly independent ν is unique and one linear solve
@@ -29,34 +32,42 @@ def first_index(labels) -> dict:
     return {label: i for i, label in reversed(list(enumerate(labels)))}
 
 
-@dataclass(eq=False)
 class Povm:
-    """Labeled family of effects on a dim-dimensional space summing to identity."""
+    """Labeled family of effects on a dim-dimensional space summing to identity.
 
-    dim: int
-    outcomes: list
+    Built from (label, effect) pairs.  labels is a list of str; effects is
+    one C-contiguous, read-only complex array of shape (n, dim, dim), copied
+    from the pairs, so later writes to the caller's matrices do not reach
+    the POVM.  An effect that is not dim × dim raises DimensionMismatch.
+    """
 
-    def __post_init__(self):
-        self.outcomes = [
-            (str(label), np.asarray(effect, dtype=complex)) for label, effect in self.outcomes
-        ]
+    def __init__(self, dim: int, outcomes):
+        self.dim = dim
+        self.labels = []
+        stack = []
+        for label, effect in outcomes:
+            if np.shape(effect) != (dim, dim):
+                raise DimensionMismatch(
+                    f"effect {label!r} has shape {np.shape(effect)}, expected {(dim, dim)}"
+                )
+            self.labels.append(str(label))
+            stack.append(effect)
+        self.effects = np.array(stack, dtype=complex).reshape(len(stack), dim, dim)
+        self.effects.flags.writeable = False
         self._index = first_index(self.labels)
 
     @property
-    def labels(self):
-        return [label for label, _ in self.outcomes]
-
-    @property
-    def effects(self):
-        return [effect for _, effect in self.outcomes]
+    def outcomes(self):
+        """A fresh list of (label, effect) pairs; each effect is a view of the stack."""
+        return list(zip(self.labels, self.effects))
 
     def effect(self, label):
         if label not in self._index:
             raise UnknownLabel(f"no outcome labeled {label!r}")
-        return self.outcomes[self._index[label]][1]
+        return self.effects[self._index[label]]
 
     def __len__(self):
-        return len(self.outcomes)
+        return len(self.labels)
 
 
 @dataclass(eq=False)
@@ -109,18 +120,15 @@ class ValidationReport:
 
 
 def validate_povm(P: Povm, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
-    """Check labels, shapes, hermiticity, positivity and completeness."""
+    """Check labels, hermiticity, positivity and completeness (the
+    constructor has checked the shapes)."""
     violations = []
     if P.dim <= 0:
         violations.append("dimension: must be a positive integer")
         return ValidationReport(False, violations)
     if len(set(P.labels)) != len(P.labels):
         violations.append("labels: duplicate outcome labels")
-    total = np.zeros((P.dim, P.dim), dtype=complex)
     for label, E in P.outcomes:
-        if E.shape != (P.dim, P.dim):
-            violations.append(f"shape[{label}]: expected {P.dim}x{P.dim}, got {E.shape}")
-            continue
         if not is_hermitian(E, tol):
             violations.append(f"hermiticity[{label}]")
         else:
@@ -129,11 +137,9 @@ def validate_povm(P: Povm, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
                 violations.append(f"positivity[{label}]: eigenvalue {w.min():.3e}")
             if w.max() > 1.0 + tol.eq_abs:
                 violations.append(f"effect bound[{label}]: eigenvalue {w.max():.6f} > 1")
-        total += E
-    if not violations or all("shape" not in v for v in violations):
-        gap = frob_dist(total, np.eye(P.dim))
-        if gap > tol.eq_abs:
-            violations.append(f"completeness: effects sum off identity by {gap:.3e}")
+    gap = frob_dist(P.effects.sum(axis=0), np.eye(P.dim))
+    if gap > tol.eq_abs:
+        violations.append(f"completeness: effects sum off identity by {gap:.3e}")
     return ValidationReport(not violations, violations)
 
 
@@ -144,21 +150,14 @@ def trivial_povm(p, dim: int, labels=None) -> Povm:
         labels = [str(i) for i in range(len(p))]
     if len(labels) != len(p):
         raise LabelMismatch("one label per probability required")
-    eye = np.eye(dim)
-    return Povm(dim, [(l, w * eye) for l, w in zip(labels, p)])
+    return Povm(dim, zip(labels, p[:, None, None] * np.eye(dim)))
 
 
 def apply_post_processing(A: Povm, nu: StochasticMatrix) -> Povm:
     """Coarse-grain A through nu: B(y) = Σ_x nu_xy A(x)."""
     if nu.row_labels != A.labels:
         raise LabelMismatch("stochastic matrix rows must match the POVM's labels")
-    effects = []
-    for j, col_label in enumerate(nu.col_labels):
-        B = np.zeros((A.dim, A.dim), dtype=complex)
-        for i, (_, E) in enumerate(A.outcomes):
-            B += nu.entries[i, j] * E
-        effects.append((col_label, B))
-    return Povm(A.dim, effects)
+    return Povm(A.dim, zip(nu.col_labels, np.tensordot(nu.entries, A.effects, axes=(0, 0))))
 
 
 def max_effect_distance(A: Povm, B: Povm) -> float:
@@ -166,19 +165,21 @@ def max_effect_distance(A: Povm, B: Povm) -> float:
     distance is NaN)."""
     if A.labels != B.labels:
         raise LabelMismatch("POVMs carry different outcome labels")
-    dists = [frob_dist(Ea, Eb) for Ea, Eb in zip(A.effects, B.effects)]
+    dists = np.linalg.norm(A.effects - B.effects, axis=(1, 2))
     return float(np.max(dists, initial=0.0))
 
 
 def _vec_hermitian(M: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix: diagonal, then Re/Im above it.
+    """Real coordinates of a Hermitian matrix, or of each matrix in a stack
+    (along the last axis): diagonal, then Re/Im above it.
 
     The off-diagonal parts carry a factor √2, so the Euclidean norm of the
     coordinates is the Frobenius norm of M.
     """
-    d = M.shape[0]
-    off = np.sqrt(2.0) * M[np.triu_indices(d, 1)]
-    return np.concatenate([np.diag(M).real, off.real, off.imag])
+    rows, cols = np.triu_indices(M.shape[-1], 1)
+    off = np.sqrt(2.0) * M[..., rows, cols]
+    diag = np.diagonal(M, axis1=-2, axis2=-1).real
+    return np.concatenate([diag, off.real, off.imag], axis=-1)
 
 
 def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
@@ -220,9 +221,8 @@ def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
     if A.dim != B.dim:
         raise DimensionMismatch(f"POVMs act on different spaces: {A.dim} vs {B.dim}")
     n_a, n_b = len(A), len(B)
-    d2 = A.dim * A.dim
-    vec_a = np.array([_vec_hermitian(E) for E in A.effects]).reshape(n_a, d2).T
-    vec_b = np.array([_vec_hermitian(E) for E in B.effects]).reshape(n_b, d2).T
+    vec_a = _vec_hermitian(A.effects).T
+    vec_b = _vec_hermitian(B.effects).T
 
     U, s, _ = np.linalg.svd(vec_a, full_matrices=False)
     Q = U[:, s > s.max(initial=0.0) * max(vec_a.shape) * np.finfo(float).eps]
@@ -288,14 +288,11 @@ def relabel(A: Povm, f) -> Povm:
 
 def is_trivial(A: Povm, tol: Tolerance = DEFAULT_TOL):
     """If every effect is a multiple of identity, return the weights, else None."""
-    eye = np.eye(A.dim)
-    p = np.empty(len(A))
-    for i, E in enumerate(A.effects):
-        w = np.trace(E).real / A.dim
-        if frob_dist(E, w * eye) > tol.eq_abs:
-            return None
-        p[i] = max(w, 0.0)
-    return p
+    w = np.trace(A.effects, axis1=1, axis2=2).real / A.dim
+    off = np.linalg.norm(A.effects - w[:, None, None] * np.eye(A.dim), axis=(1, 2))
+    if off.max(initial=0.0) > tol.eq_abs:
+        return None
+    return np.maximum(w, 0.0)
 
 
 def is_indecomposable_povm(A: Povm, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -416,13 +413,9 @@ def povm_equivalent(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
                 out[yi, :] = 1.0 / len(cols)
         return out
 
-    nu = StochasticMatrix(B.labels, A.labels, build(B.labels, A.labels, grp_b, grp_a, match))
-    mu = StochasticMatrix(A.labels, B.labels, build(A.labels, B.labels, grp_a, grp_b, inverse))
-    if not max_effect_distance(apply_post_processing(B, nu), A) <= tol.eq_abs:
-        return None
-    if not max_effect_distance(apply_post_processing(A, mu), B) <= tol.eq_abs:
-        return None
-    return nu, mu
+    nu = _replayed(B, A, build(B.labels, A.labels, grp_b, grp_a, match), tol)
+    mu = _replayed(A, B, build(A.labels, B.labels, grp_a, grp_b, inverse), tol)
+    return None if nu is None or mu is None else (nu, mu)
 
 
 def proportional_inequivalent_pair():

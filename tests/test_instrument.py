@@ -41,7 +41,7 @@ from instrorder import (
     validate_state,
     zero_operation,
 )
-from instrorder.instrument import check_weights, complete_channel
+from instrorder.instrument import check_weights, complete_channel, is_zero_operation
 from instrorder.linalg import Tolerance, frob_dist, numerical_rank
 
 from helpers import basis_pvm, minimal_kraus_eigh
@@ -564,3 +564,24 @@ def test_mixtures_reject_nan_weights():
     for build in (mix, tracked_mix):
         with pytest.raises(ValueError, match="probability distribution"):
             build([I, I], [np.nan, 0.5])
+
+
+def test_zero_test_does_not_form_the_choi_matrix():
+    op = random_instrument(2, 3, 2, 2, seed=3).operation("0")
+    assert not is_zero_operation(op)
+    assert "choi_matrix" not in op.__dict__
+    assert is_zero_operation(zero_operation(3, 2))
+
+
+def test_zero_test_agrees_with_the_choi_trace():
+    tol = Tolerance()
+    ops = [op for seed in range(5) for op in random_instrument(3, 3, 2, 2, seed).operations]
+    # scaled so that Σ‖K‖²_F sits just under and just over eq_abs
+    base = ops[0]
+    weight = np.trace(base.choi_matrix).real
+    for factor in (1 - 1e-6, 1 + 1e-6):
+        s = np.sqrt(factor * tol.eq_abs / weight)
+        ops.append(QuantumOperation(base.dim_in, base.dim_out, s * base.kraus))
+    answers = [is_zero_operation(op, tol) for op in ops]
+    assert answers[-2:] == [True, False]
+    assert answers == [np.trace(op.choi_matrix).real <= tol.eq_abs for op in ops]

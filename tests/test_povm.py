@@ -471,3 +471,62 @@ def test_nan_replay_distance_is_not_accepted(monkeypatch):
     monkeypatch.setattr(instrorder.povm, "max_effect_distance", lambda P, Q: float("nan"))
     assert find_post_processing(A, B) is None
     assert povm_equivalent(A, A) is None
+
+
+def test_effects_are_copied_from_the_caller():
+    E = np.eye(2, dtype=complex) / 2
+    P = Povm(2, [("a", E), ("b", E.copy())])
+    Q = Povm(2, [("a", E.copy()), ("b", E.copy())])
+    E[0, 0] = 5
+    assert P.effects[0, 0, 0] == 0.5
+    assert max_effect_distance(P, Q) == 0.0
+    assert validate_povm(P).ok
+
+
+def test_effects_are_one_read_only_array():
+    P = Povm(2, [("a", np.asfortranarray(np.diag([1.0, 0.0]))), ("b", np.diag([0.0, 1.0]))])
+    assert P.effects.shape == (2, 2, 2)
+    assert P.effects.dtype == complex
+    assert P.effects.flags.c_contiguous
+    with pytest.raises(ValueError):
+        P.effects[0][0, 0] = 1
+    with pytest.raises(ValueError):
+        P.effect("b")[1, 1] = 0
+
+
+def test_outcomes_is_a_fresh_list_of_views():
+    P = basis_pvm(2)
+    pairs = P.outcomes
+    pairs.append(("extra", np.eye(2)))
+    assert len(P.outcomes) == 2
+    assert all(np.shares_memory(E, P.effects) for _, E in P.outcomes)
+
+
+def test_wrong_shaped_effect_raises_naming_its_label():
+    with pytest.raises(DimensionMismatch, match=r"effect 'big' has shape \(3, 3\), expected \(2, 2\)"):
+        Povm(2, [("a", np.eye(2)), ("big", np.eye(3))])
+    with pytest.raises(DimensionMismatch, match="'row'"):
+        Povm(1, [("row", [0.3, 0.7])])
+
+
+def test_zero_dimension_povm_validates_to_the_dimension_violation():
+    report = validate_povm(Povm(0, []))
+    assert not report.ok
+    assert report.violations == ["dimension: must be a positive integer"]
+
+
+def test_zero_outcome_povm_has_an_empty_stack():
+    for d in (1, 3):
+        P = Povm(d, [])
+        assert P.effects.shape == (0, d, d)
+        assert len(P) == 0 and P.labels == [] and P.outcomes == []
+        assert validate_povm(P).violations == [
+            f"completeness: effects sum off identity by {np.sqrt(d):.3e}"
+        ]
+
+
+def test_vec_hermitian_of_a_stack_is_the_stack_of_coordinates():
+    A = random_povm(5, 3, seed=21)
+    rows = np.array([_vec_hermitian(E) for E in A.effects])
+    assert np.array_equal(_vec_hermitian(A.effects), rows)
+    assert np.allclose(np.linalg.norm(rows, axis=1), np.linalg.norm(A.effects, axis=(1, 2)))

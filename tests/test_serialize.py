@@ -289,6 +289,22 @@ def test_state_document_text_is_pinned(tmp_path):
     assert load(path).payload.matrix.tobytes() == TINY_STATE.tobytes()
 
 
+TINY_POVM_COMPACT = (
+    '{"kind":"povm","version":1,"dim":2,"outcomes":['
+    '{"label":"up","effect":[[[0.5,0.0],[-0.0,-0.25]],[[0.0,0.25],[0.25,0.0]]]},'
+    '{"label":"down","effect":[[[0.5,0.0],[0.0,0.25]],[[0.0,-0.25],[0.75,0.0]]]}]}\n'
+)
+TINY_EFFECT = np.array([[0.5, -0.25j], [0.25j, 0.25]])
+
+
+def test_povm_document_text_is_pinned(tmp_path):
+    # each effect is written from its view of the POVM's stack
+    path = tmp_path / "tiny-povm.json"
+    save(Povm(2, [("up", TINY_EFFECT), ("down", np.eye(2) - TINY_EFFECT)]), path)
+    assert path.read_text() == TINY_POVM_COMPACT
+    assert load(path).payload.effect("up").tobytes() == TINY_EFFECT.tobytes()
+
+
 def test_indented_document_loads_bit_exactly(tmp_path):
     # whitespace is not part of the format: an indent=2 version-1 document
     # loads to the same bits and saves back as the compact text
