@@ -1,14 +1,11 @@
 """POVMs and the classical post-processing preorder on them.
 
-A POVM here is an ordered family of labeled effects on a fixed
-finite-dimensional space, kept as a list of labels and one read-only
-complex array of shape (n, dim, dim) that the constructor copies from its
-input and whose shape it checks; every later step reads that stack whole.
-B is a post-processing of A when there is a
-row-stochastic matrix ν with B(y) = Σ_x ν_xy A(x); deciding that is a linear
-feasibility problem, posed in coordinates of the span of A's effects.  When
-those effects are linearly independent ν is unique and one linear solve
-decides; otherwise the phase-1 simplex does.
+A POVM here is a list of labels and one read-only (n, dim, dim) stack of
+effects on a fixed finite-dimensional space.  B is a post-processing of A
+when there is a row-stochastic matrix ν with B(y) = Σ_x ν_xy A(x); deciding
+that is a linear feasibility problem, posed in coordinates of the span of
+A's effects.  When those effects are linearly independent ν is unique and
+one linear solve decides; otherwise the phase-1 simplex does.
 """
 
 from __future__ import annotations
@@ -38,10 +35,13 @@ class Povm:
     Built from (label, effect) pairs.  labels is a list of str; effects is
     one C-contiguous, read-only complex array of shape (n, dim, dim), copied
     from the pairs, so later writes to the caller's matrices do not reach
-    the POVM.  An effect that is not dim × dim raises DimensionMismatch.
+    the POVM.  A negative dim, or an effect that is not dim × dim, raises
+    DimensionMismatch.
     """
 
     def __init__(self, dim: int, outcomes):
+        if dim < 0:
+            raise DimensionMismatch(f"dimension {dim} is negative")
         self.dim = dim
         self.labels = []
         stack = []
@@ -120,8 +120,7 @@ class ValidationReport:
 
 
 def validate_povm(P: Povm, tol: Tolerance = DEFAULT_TOL) -> ValidationReport:
-    """Check labels, hermiticity, positivity and completeness (the
-    constructor has checked the shapes)."""
+    """Check labels, hermiticity, positivity and completeness."""
     violations = []
     if P.dim <= 0:
         violations.append("dimension: must be a positive integer")

@@ -507,6 +507,8 @@ def test_wrong_shaped_effect_raises_naming_its_label():
         Povm(2, [("a", np.eye(2)), ("big", np.eye(3))])
     with pytest.raises(DimensionMismatch, match="'row'"):
         Povm(1, [("row", [0.3, 0.7])])
+    with pytest.raises(DimensionMismatch, match="negative"):
+        Povm(-1, [])
 
 
 def test_zero_dimension_povm_validates_to_the_dimension_violation():
