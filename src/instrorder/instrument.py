@@ -429,10 +429,11 @@ def compose_post_processing(I: Instrument, processors) -> Instrument:
     shape = (-1, ref.dim_out, I.dim_in)
     outcomes = []
     for y in ref.labels:
-        ks = np.concatenate([
-            (processors[x].operation(y).kraus[:, None] @ op.kraus).reshape(shape)
-            for x, op in I.outcomes
-        ])
+        # A zero processor operation holds one zero matrix; its products
+        # would all be dropped.
+        pairs = [(processors[x].operation(y).kraus, op.kraus) for x, op in I.outcomes]
+        parts = [(R[:, None] @ K).reshape(shape) for R, K in pairs if R.any()]
+        ks = np.concatenate(parts) if parts else []
         outcomes.append((y, QuantumOperation(I.dim_in, ref.dim_out, ks)))
     return Instrument(I.dim_in, ref.dim_out, outcomes)
 

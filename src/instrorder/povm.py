@@ -162,6 +162,8 @@ def apply_post_processing(A: Povm, nu: StochasticMatrix) -> Povm:
 def max_effect_distance(A: Povm, B: Povm) -> float:
     """Largest Frobenius distance between same-label effects (NaN if any
     distance is NaN)."""
+    if A.dim != B.dim:
+        raise DimensionMismatch(f"POVMs act on different spaces: {A.dim} vs {B.dim}")
     if A.labels != B.labels:
         raise LabelMismatch("POVMs carry different outcome labels")
     dists = np.linalg.norm(A.effects - B.effects, axis=(1, 2))

@@ -11,12 +11,17 @@ for 1e-05 and 1e16 for 1e+16, the same doubles in any JSON reader.  orjson
 would write NaN and infinities as null, so save refuses non-finite values
 with a ValueError naming the field, before the file is opened.  load reads
 with the standard json module and any whitespace, so indented documents
-load to the same payload.  Parsing is strict: unknown fields, wrong shapes,
-leaves that are not JSON numbers (true, "0.5", null), non-finite numbers
-(NaN, Infinity or values beyond the float range) and unsupported versions
-all raise ParseError naming the offending field.  A matrix is decoded by
-one numpy conversion; its entries are scanned one by one only to name a
-malformed one.
+load to the same payload.  Each matrix (every effect, matrix and choi field
+and each entry of a kraus list) becomes a float64 (rows, cols, 2) array by
+one numpy conversion as soon as the parser closes the object that holds it,
+so only one matrix's nested lists are alive at a time, never the whole
+document's.  A report is free JSON, so load reads it again without that
+conversion.  Parsing is strict: unknown fields, wrong shapes, leaves that
+are not JSON numbers (true, "0.5", null), non-finite numbers (NaN, Infinity
+or values beyond the float range) and unsupported versions all raise
+ParseError naming the offending field.  A value that is not a rectangular
+nested list of [re, im] pairs of numbers stays a list, whose entries are
+scanned one by one only to name the malformed one.
 """
 
 from __future__ import annotations
@@ -130,14 +135,42 @@ def _check_pairs(obj, rows, cols, where):
                 raise ParseError(f"{where}[{i}][{j}]: expected a [re, im] pair")
 
 
-def _dec_matrix(obj, rows, cols, where):
-    # One numpy conversion; the per-entry scan runs only when a check fails.
+def _float_pairs(obj):
+    """obj as one float64 array, or None when numpy cannot convert it
+    (ragged, not numbers, or an integer beyond the float range)."""
     try:
-        pairs = np.array(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # ragged, not numbers, or too large
-        pairs = None
-    if pairs is None or pairs.shape != (rows, cols, 2) or not _json_pairs(obj):
-        _check_pairs(obj, rows, cols, where)
+        return np.array(obj, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _converted(value):
+    """value as its float64 pairs array when it is a rectangular nested list
+    of [re, im] pairs with int and float leaves, else value itself, so that
+    decode names what is wrong with it."""
+    pairs = _float_pairs(value) if _json_pairs(value) else None
+    return value if pairs is None else pairs
+
+
+def _matrix_hook(obj):
+    """json object_hook: convert every matrix field of a just-parsed object,
+    so its nested lists are freed before the next matrix is read."""
+    for key in ("effect", "matrix", "choi"):
+        if key in obj:
+            obj[key] = _converted(obj[key])
+    kraus = obj.get("kraus")
+    if type(kraus) is list:
+        obj["kraus"] = [_converted(K) for K in kraus]
+    return obj
+
+
+def _dec_matrix(obj, rows, cols, where):
+    # One numpy conversion, here or in load's hook; the per-entry scan runs
+    # only when a check fails.
+    converted = isinstance(obj, np.ndarray)
+    pairs = obj if converted else _float_pairs(obj)
+    if pairs is None or pairs.shape != (rows, cols, 2) or not (converted or _json_pairs(obj)):
+        _check_pairs(obj.tolist() if converted else obj, rows, cols, where)
     if pairs is None:  # well-formed, so an integer beyond the float range
         raise ParseError(f"{where}: expected finite numbers")
     if not np.isfinite(pairs).all():
@@ -229,8 +262,9 @@ def _dec_witness(obj, where):
     target_chois = {}
     for here, entry in targets:
         # Choi matrices are square; infer the side length from the rows.
-        side = len(_list(entry, here, "choi", "matrix"))
-        target_chois[entry["label"]] = _dec_matrix(entry["choi"], side, side, f"{here}.choi")
+        choi = entry["choi"]
+        side = len(choi if isinstance(choi, np.ndarray) else _list(entry, here, "choi", "matrix"))
+        target_chois[entry["label"]] = _dec_matrix(choi, side, side, f"{here}.choi")
     return InstrumentWitness(
         source_labels=list(labels),
         processors=processors,
@@ -368,12 +402,20 @@ def save(doc: Document, path) -> None:
         fh.write(data)
 
 
-def load(path) -> Document:
+def _read(path, object_hook=None):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh, object_hook=object_hook)
         except json.JSONDecodeError as exc:
             raise ParseError(
                 f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from None
+
+
+def load(path) -> Document:
+    raw = _read(path, _matrix_hook)
+    if isinstance(raw, dict) and raw.get("kind") == "report":
+        # A report is free JSON, which the hook must not convert; reports
+        # are small, so read them again.
+        raw = _read(path)
     return decode(raw)

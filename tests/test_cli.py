@@ -161,6 +161,19 @@ def test_classify_output_written(tmp_path, capsys):
     assert doc.payload["trash_and_prepare"] is True
 
 
+def test_classify_report_loads_as_plain_json(tmp_path, capsys):
+    # the measure-and-prepare certificate holds a POVM whose effects would
+    # match load's matrix fields; a report payload stays lists
+    T = trash_and_prepare([0.5, 0.5], [random_state(2, 1), random_state(2, 2)], dim_in=2)
+    out = tmp_path / "report.json"
+    path = _write(tmp_path, "t.json", T)
+    assert main(["classify", path, "--output", str(out)]) == 0
+    report = load(out).payload
+    effect = report["measure_and_prepare_certificate"]["povm"]["outcomes"][0]["effect"]
+    assert type(effect) is list
+    assert report == json.loads(out.read_text())["report"]
+
+
 def test_induced_povm_command(tmp_path, capsys):
     I = random_instrument(3, 2, 2, 1, seed=6)
     out = tmp_path / "A.json"

@@ -41,7 +41,7 @@ from instrorder import (
     validate_state,
     zero_operation,
 )
-from instrorder.instrument import check_weights, complete_channel, is_zero_operation
+from instrorder.instrument import check_weights, complete_channel, is_zero_operation, routed
 from instrorder.linalg import Tolerance, frob_dist, numerical_rank
 
 from helpers import basis_pvm, minimal_kraus_eigh
@@ -541,6 +541,20 @@ def test_compose_orders_products_processor_kraus_first():
     J = compose_post_processing(I, {"0": R})
     expected = [Rk @ Ki for Rk in B for Ki in A]
     assert np.array_equal(J.operation("y").kraus, np.array(expected))
+
+
+def test_compose_skips_zero_processor_operations():
+    # routed processors: each source outcome reaches one target label, and
+    # no source outcome reaches "c", which composes to the zero operation
+    I = random_instrument(3, 2, 2, 2, 4)
+    V = random_unitary(2, 9)
+    ident = QuantumOperation(2, 2, [V])
+    to = {"0": "a", "1": "b", "2": "a"}
+    J = compose_post_processing(I, {x: routed(ident, ["a", "b", "c"], to[x]) for x in I.labels})
+    for y in ("a", "b"):
+        expected = [V @ K for x, op in I.outcomes if to[x] == y for K in op.kraus]
+        assert np.array_equal(J.operation(y).kraus, np.array(expected))
+    assert np.array_equal(J.operation("c").kraus, np.zeros((1, 2, 2)))
 
 
 @pytest.mark.parametrize(

@@ -146,6 +146,12 @@ def test_find_rejects_dim_mismatch():
         find_post_processing(random_povm(2, 2, 0), random_povm(2, 3, 0))
 
 
+def test_max_effect_distance_rejects_dim_mismatch():
+    # equal labels, so broadcasting would subtract a 1x1 effect from a 2x2 one
+    with pytest.raises(DimensionMismatch):
+        max_effect_distance(Povm(1, [("a", [[1.0]])]), Povm(2, [("a", np.eye(2))]))
+
+
 def test_find_soundness_and_completeness():
     # forward-construct B = nu(A), then recover some feasible post-processing
     for seed in range(500):

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from instrorder import (
     Povm,
     SimulationProgram,
     choi,
+    detailed_instrument,
     load,
     luders,
     random_instrument,
@@ -18,6 +21,7 @@ from instrorder import (
     State,
     trash_and_prepare,
     witness_detailed_to_original,
+    witness_indecomposable_equivalence,
 )
 from instrorder.serialize import KINDS, Document, decode, document_for, encode
 
@@ -484,3 +488,86 @@ def test_rejects_duplicate_witness_label(field, index, path, label):
     obj[field].append(obj[field][index])
     with pytest.raises(ParseError, match=rf"witness\.{path}: duplicate label '{re.escape(label)}'"):
         decode(obj)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_load_is_decode_of_the_plain_json_tree(tmp_path, kind):
+    # load converts each matrix while parsing; the payload must carry the
+    # same bits as decode of the tree json.load builds
+    path, via_load, via_decode = (tmp_path / name for name in ("doc.json", "a.json", "b.json"))
+    save(document_for(SAMPLES[kind]()), path)
+    with open(path) as fh:
+        plain = decode(json.load(fh))
+    doc = load(path)
+    assert doc.kind == plain.kind == kind
+    save(doc, via_load)
+    save(plain, via_decode)
+    assert via_load.read_bytes() == via_decode.read_bytes() == path.read_bytes()
+
+
+def _set_effect(rows, cols):
+    def edit(obj):
+        obj["outcomes"][0]["effect"] = [[[0.5, 0.0]] * cols for _ in range(rows)]
+    return edit
+
+
+def _set_entry(value):
+    def edit(obj):
+        obj["matrix"][1][0] = value
+    return edit
+
+
+def _drop_last_column(obj):
+    obj["targets"][0]["choi"] = [row[:-1] for row in obj["targets"][0]["choi"]]
+
+
+def _transpose_first_kraus(obj):
+    K = obj["outcomes"][0]["kraus"][0]
+    obj["outcomes"][0]["kraus"][0] = [list(col) for col in zip(*K)]
+
+
+@pytest.mark.parametrize(
+    "sample, edit, message",
+    [
+        (lambda: basis_pvm(2), _set_effect(3, 2), r"povm.outcomes[0].effect: expected 2 rows"),
+        (lambda: basis_pvm(2), _set_effect(2, 3), r"povm.outcomes[0].effect[0]: expected 2 entries"),
+        (lambda: basis_pvm(2), _set_effect(3, 3), r"povm.outcomes[0].effect: expected 2 rows"),
+        (SAMPLES["instrument"], _transpose_first_kraus, "instrument.outcomes[0].kraus[0]: expected 3 rows"),
+        (SAMPLES["witness"], _drop_last_column, "witness.targets[0].choi[0]: expected 4 entries"),
+        (SAMPLES["state"], _set_entry([0.25, True]), "state.matrix[1][0]: expected a [re, im] pair"),
+        (SAMPLES["state"], _set_entry(["0.5", 0.0]), "state.matrix[1][0]: expected a [re, im] pair"),
+        (SAMPLES["state"], _set_entry([None, 0.0]), "state.matrix[1][0]: expected a [re, im] pair"),
+        (SAMPLES["state"], _set_entry([0.5]), "state.matrix[1][0]: expected a [re, im] pair"),
+        (SAMPLES["state"], _set_entry([10**400, 0]), "state.matrix: expected finite numbers"),
+    ],
+    ids=[
+        "povm-3x2", "povm-2x3", "povm-3x3", "kraus-transposed", "choi-one-column-short",
+        "true-leaf", "string-leaf", "null-leaf", "one-number-pair", "int-past-float-range",
+    ],
+)
+def test_load_names_a_malformed_matrix_as_decode_does(tmp_path, sample, edit, message):
+    obj = encode(document_for(sample()))
+    edit(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    for read in (load, lambda p: decode(json.loads(p.read_text()))):
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == message
+
+
+def test_load_peak_memory_stays_below_three_times_the_file(tmp_path):
+    # the d=6 Luders -> detailed witness, 95% target Choi matrices: load
+    # frees each matrix's nested lists before it parses the next, where the
+    # whole list tree took 4.5 times the file size
+    L = luders(random_povm(4, 6, 1))
+    path = tmp_path / "w.json"
+    save(witness_indecomposable_equivalence(L, detailed_instrument(L)).forward, path)
+    tracemalloc.start()
+    try:
+        doc = load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert doc.kind == "witness"
+    assert peak < 3 * os.path.getsize(path)
