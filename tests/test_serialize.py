@@ -529,9 +529,9 @@ def _transpose_first_kraus(obj):
 @pytest.mark.parametrize(
     "sample, edit, message",
     [
-        (lambda: basis_pvm(2), _set_effect(3, 2), r"povm.outcomes[0].effect: expected 2 rows"),
-        (lambda: basis_pvm(2), _set_effect(2, 3), r"povm.outcomes[0].effect[0]: expected 2 entries"),
-        (lambda: basis_pvm(2), _set_effect(3, 3), r"povm.outcomes[0].effect: expected 2 rows"),
+        (lambda: basis_pvm(2), _set_effect(3, 2), "povm.outcomes[0].effect: expected 2 rows"),
+        (lambda: basis_pvm(2), _set_effect(2, 3), "povm.outcomes[0].effect[0]: expected 2 entries"),
+        (lambda: basis_pvm(2), _set_effect(3, 3), "povm.outcomes[0].effect: expected 2 rows"),
         (SAMPLES["instrument"], _transpose_first_kraus, "instrument.outcomes[0].kraus[0]: expected 3 rows"),
         (SAMPLES["witness"], _drop_last_column, "witness.targets[0].choi[0]: expected 4 entries"),
         (SAMPLES["state"], _set_entry([0.25, True]), "state.matrix[1][0]: expected a [re, im] pair"),
