@@ -20,7 +20,6 @@ from .errors import (
     DimensionMismatch,
     InstrOrderError,
     InvalidParameters,
-    IoError,
     LabelMismatch,
     NotIndecomposable,
     NotIsometry,
@@ -48,7 +47,6 @@ from .instrument import (
     measure_and_prepare,
     minimal_kraus,
     mix,
-    operations_equal,
     pair_label,
     relabel_instrument,
     total_channel,

@@ -10,6 +10,7 @@ commands write a document with --output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -281,7 +282,9 @@ def cmd_random(args) -> int:
     return _emit_object(args, obj)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args keeps no state between calls.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-eq", type=float, default=DEFAULT_TOL.eq_abs, metavar="EPS",
                         help="absolute equality tolerance (default %(default)g)")

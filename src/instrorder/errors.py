@@ -52,6 +52,3 @@ class SolverError(InstrOrderError, RuntimeError):
 class ParseError(InstrOrderError):
     """A document could not be parsed; the message names the offending field."""
 
-
-# File-system failures surface as the platform's own error type.
-IoError = OSError

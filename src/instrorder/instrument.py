@@ -155,10 +155,6 @@ def choi_distance(a: QuantumOperation, b: QuantumOperation) -> float:
     return frob_dist(a.choi_matrix, b.choi_matrix)
 
 
-def operations_equal(a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return choi_distance(a, b) <= tol.eq_abs
-
-
 def instrument_distance(I: Instrument, J: Instrument) -> float:
     """Largest Choi distance between same-label operations."""
     if I.labels != J.labels:

@@ -9,17 +9,33 @@ matrix straight from a float64 (rows, cols, 2) numpy array, so no Python
 float or list is built per entry.  Its number notation is orjson's: 0.00001
 for 1e-05 and 1e16 for 1e+16, the same doubles in any JSON reader.  orjson
 would write NaN and infinities as null, so save refuses non-finite values
-with a ValueError naming the field, before the file is opened.  load reads
-with the standard json module and any whitespace, so indented documents
-load to the same payload.  Each matrix (every effect, matrix and choi field
-and each entry of a kraus list) becomes a float64 (rows, cols, 2) array by
-one numpy conversion as soon as the parser closes the object that holds it,
-so only one matrix's nested lists are alive at a time, never the whole
-document's.  A report is free JSON, so load reads it again without that
-conversion.  Parsing is strict: unknown fields, wrong shapes, leaves that
-are not JSON numbers (true, "0.5", null), non-finite numbers (NaN, Infinity
-or values beyond the float range) and unsupported versions all raise
-ParseError naming the offending field.  A value that is not a rectangular
+with a ValueError naming the field, before the file is opened.
+
+load reads the file's bytes and first lifts out every compact matrix, the
+text save writes: one regex scan, which skips JSON strings, stops at each
+[[[ that opens a number, and the matrix runs to the next ]]].  A candidate
+is taken only when its text with the number characters deleted is exactly
+the bracket-and-comma skeleton of a rows x cols matrix of pairs, and orjson
+parses its numbers, brackets removed, as one flat list; that skips the
+Python list per [re, im] pair that a nested parse builds.  Each taken
+matrix becomes its float64 (rows, cols, 2) array and leaves a placeholder
+[[[k]]] in the text, and the standard json module parses the small text
+that is left.  An object_hook puts each array back where its placeholder
+stands, and converts every other matrix (every effect, matrix and choi
+field and each entry of a kraus list) by one numpy conversion as soon as
+the parser closes the object that holds it, so whitespace is free: an
+indented document loads to the same payload, and only one such matrix's
+nested lists are alive at a time.  When that text is not valid JSON, a
+placeholder comes out of turn or is left over (a [[[0]]] written in the
+file itself), or decode fails, load parses the file's own UTF-8 text
+instead, so every error names the file's own line and column and reads as
+it would without the lift.  A report is free JSON, so load parses it again
+without any conversion.
+
+Parsing is strict: unknown fields, wrong shapes, leaves that are not JSON
+numbers (true, "0.5", null), non-finite numbers (NaN, Infinity or values
+beyond the float range) and unsupported versions all raise ParseError
+naming the offending field.  A value that is not a rectangular
 nested list of [re, im] pairs of numbers stays a list, whose entries are
 scanned one by one only to name the malformed one.
 """
@@ -27,6 +43,7 @@ scanned one by one only to name the malformed one.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from itertools import chain
@@ -152,16 +169,50 @@ def _converted(value):
     return value if pairs is None else pairs
 
 
-def _matrix_hook(obj):
-    """json object_hook: convert every matrix field of a just-parsed object,
-    so its nested lists are freed before the next matrix is read."""
-    for key in ("effect", "matrix", "choi"):
-        if key in obj:
-            obj[key] = _converted(obj[key])
-    kraus = obj.get("kraus")
-    if type(kraus) is list:
-        obj["kraus"] = [_converted(K) for K in kraus]
-    return obj
+class _Misplaced(Exception):
+    """A placeholder of load's pre-pass came out of turn."""
+
+
+def _placeholder_index(value):
+    """k when value is [[[k]]] with k an int, else None."""
+    for _ in range(3):
+        if type(value) is not list or len(value) != 1:
+            return None
+        value = value[0]
+    return value if type(value) is int else None
+
+
+class _MatrixHook:
+    """json object_hook: convert every matrix field of a just-parsed object
+    (every effect, matrix and choi field and each entry of a kraus list), so
+    its nested lists are freed before the next matrix is read.
+
+    Given the arrays of load's pre-pass, a matrix field that reads [[[k]]]
+    is the placeholder of arrays[k].  Placeholders are taken in the order
+    the pre-pass made them, so a [[[0]]] written in the file itself takes
+    one out of turn, or one too many, and raises _Misplaced."""
+
+    def __init__(self, arrays=None):
+        self.arrays = arrays
+        self.used = 0
+
+    def __call__(self, obj):
+        for key in ("effect", "matrix", "choi"):
+            if key in obj:
+                obj[key] = self._matrix(obj[key])
+        kraus = obj.get("kraus")
+        if type(kraus) is list:
+            obj["kraus"] = [self._matrix(K) for K in kraus]
+        return obj
+
+    def _matrix(self, value):
+        k = None if self.arrays is None else _placeholder_index(value)
+        if k is None:
+            return _converted(value)
+        if k != self.used or k == len(self.arrays):
+            raise _Misplaced
+        self.used += 1
+        return self.arrays[k]
 
 
 def _dec_matrix(obj, rows, cols, where):
@@ -402,20 +453,101 @@ def save(doc: Document, path) -> None:
         fh.write(data)
 
 
-def _read(path, object_hook=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_hook=object_hook)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
+# One pass over a document's bytes stops at each JSON string, which is
+# skipped whole so that brackets in a label are never read as a matrix, and
+# at each [ that opens a compact matrix: [[[ then the start of a number.
+_SCAN = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"|\[\[\[(?=[-0-9])', re.DOTALL)
+_QUOTE = ord('"')
+_NUMBER_BYTES = b"0123456789.-+eE"
+
+
+def _skeleton(rows, cols):
+    """A compact rows x cols matrix of [re, im] pairs with its numbers deleted."""
+    row = b"[" + b",".join([b"[,]"] * cols) + b"]"
+    return b"[" + b",".join([row] * rows) + b"]"
+
+
+def _compact_matrix(text):
+    """The float64 (rows, cols, 2) array of text, which runs from [[[ to the
+    next ]]], or None unless text is a compact matrix of [re, im] pairs of
+    JSON numbers that are finite as doubles."""
+    skeleton = text.translate(None, _NUMBER_BYTES)
+    cols = skeleton.find(b"]]") // 4
+    rows = (len(skeleton) - 1) // (4 * cols + 2) if cols > 0 else 0
+    if rows < 1 or skeleton != _skeleton(rows, cols):
+        return None
+    try:
+        # Only digits, .-+eE and commas are left, so every value orjson
+        # returns is an int or a float.
+        values = orjson.loads(b"[" + text.replace(b"[", b"").replace(b"]", b"") + b"]")
+    except orjson.JSONDecodeError:  # a malformed number, or one past the float range
+        return None
+    return np.array(values, dtype=float).reshape(rows, cols, 2)
+
+
+def _compact_tree(data):
+    """The JSON tree of the document bytes data with every compact matrix
+    already its float64 pairs array, or None when load must parse the file's
+    own text: no compact matrix, invalid JSON, or a placeholder out of turn
+    or left over."""
+    parts, arrays = [], []
+    done = at = 0  # data[:done] is in parts; the scan resumes at data[at]
+    while (match := _SCAN.search(data, at)) is not None:
+        start = match.start()
+        if data[start] == _QUOTE:
+            at = match.end()
+            continue
+        end = data.find(b"]]]", start)
+        if end < 0:
+            break  # no matrix closes after this point
+        end += 3
+        pairs = _compact_matrix(data[start:end])
+        if pairs is None:
+            # Left to the JSON parser.  A rejected candidate can run into a
+            # string, so the scan goes on just after its first bracket.
+            at = start + 1
+            continue
+        # The placeholder holds no quote, so the scan stays out of strings.
+        parts += (data[done:start], b"[[[%d]]]" % len(arrays))
+        arrays.append(pairs)
+        done = at = end
+    if not arrays:
+        return None
+    parts.append(data[done:])
+    hook = _MatrixHook(arrays)
+    try:
+        tree = json.loads(b"".join(parts).decode("utf-8"), object_hook=hook)
+    except (UnicodeDecodeError, json.JSONDecodeError, _Misplaced):
+        return None
+    return tree if hook.used == len(arrays) else None
+
+
+def _parse(text, path, object_hook=None):
+    try:
+        return json.loads(text, object_hook=object_hook)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+
+
+def _is_report(raw):
+    return isinstance(raw, dict) and raw.get("kind") == "report"
 
 
 def load(path) -> Document:
-    raw = _read(path, _matrix_hook)
-    if isinstance(raw, dict) and raw.get("kind") == "report":
+    with open(path, "rb") as fh:
+        data = fh.read()
+    raw = _compact_tree(data)
+    if raw is not None and not _is_report(raw):
+        try:
+            return decode(raw)
+        except ParseError:
+            pass  # named below from the file's own text, as without the pre-pass
+    text = data.decode("utf-8")
+    raw = _parse(text, path, _MatrixHook())
+    if _is_report(raw):
         # A report is free JSON, which the hook must not convert; reports
-        # are small, so read them again.
-        raw = _read(path)
+        # are small, so parse them again.
+        raw = _parse(text, path)
     return decode(raw)

@@ -418,3 +418,26 @@ def test_tolerance_flags_default_to_default_tol():
     args = cli._build_parser().parse_args(["validate", "doc.json"])
     assert args.tol_eq == DEFAULT_TOL.eq_abs
     assert args.tol_rank == DEFAULT_TOL.rank_rel
+
+
+def test_back_to_back_main_calls_share_no_state(tmp_path, capsys):
+    # the parser is built once per process; no flag may carry over to the next call
+    assert cli._build_parser() is cli._build_parser()
+    path = _write(tmp_path, "p.json", random_povm(2, 2, 1))
+    runs = []
+    for argv in (
+        ["validate", path],
+        ["validate", "--json", path],
+        ["validate", path],
+        ["random", "state", "--dim", "2", "--json"],
+        ["random", "state", "--dim", "2", "--seed", "5", "--json"],
+        ["random", "state", "--dim", "2", "--json"],
+    ):
+        assert main(argv) == 0
+        runs.append(capsys.readouterr().out)
+    plain, as_json, plain_again, unseeded, seeded, unseeded_again = runs
+    assert plain_again == plain != as_json
+    json.loads(as_json)
+    assert unseeded_again == unseeded != seeded
+    assert main(["random", "state", "--dim", "2", "--seed", "0", "--json"]) == 0
+    assert capsys.readouterr().out == unseeded

@@ -1,10 +1,14 @@
+import codecs
 import json
+import math
 import os
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from instrorder import (
     ParseError,
@@ -23,6 +27,7 @@ from instrorder import (
     witness_detailed_to_original,
     witness_indecomposable_equivalence,
 )
+from instrorder import serialize
 from instrorder.serialize import KINDS, Document, decode, document_for, encode
 
 from helpers import basis_pvm
@@ -492,17 +497,22 @@ def test_rejects_duplicate_witness_label(field, index, path, label):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_load_is_decode_of_the_plain_json_tree(tmp_path, kind):
-    # load converts each matrix while parsing; the payload must carry the
-    # same bits as decode of the tree json.load builds
+    # load converts each matrix while parsing, the compact ones before the
+    # JSON parser runs; the payload must carry the same bits as decode of the
+    # tree json.load builds, for the compact text save writes and for the
+    # same document indented
     path, via_load, via_decode = (tmp_path / name for name in ("doc.json", "a.json", "b.json"))
     save(document_for(SAMPLES[kind]()), path)
-    with open(path) as fh:
-        plain = decode(json.load(fh))
-    doc = load(path)
-    assert doc.kind == plain.kind == kind
-    save(doc, via_load)
-    save(plain, via_decode)
-    assert via_load.read_bytes() == via_decode.read_bytes() == path.read_bytes()
+    compact = path.read_bytes()
+    for text in (compact, json.dumps(json.loads(compact), indent=2).encode()):
+        path.write_bytes(text)
+        with open(path) as fh:
+            plain = decode(json.load(fh))
+        doc = load(path)
+        assert doc.kind == plain.kind == kind
+        save(doc, via_load)
+        save(plain, via_decode)
+        assert via_load.read_bytes() == via_decode.read_bytes() == compact
 
 
 def _set_effect(rows, cols):
@@ -549,11 +559,13 @@ def test_load_names_a_malformed_matrix_as_decode_does(tmp_path, sample, edit, me
     obj = encode(document_for(sample()))
     edit(obj)
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(obj))
-    for read in (load, lambda p: decode(json.loads(p.read_text()))):
-        with pytest.raises(ParseError) as exc:
-            read(path)
-        assert str(exc.value) == message
+    # with spaces, as json.dumps writes, and compact, as save writes
+    for separators in ((", ", ": "), (",", ":")):
+        path.write_text(json.dumps(obj, separators=separators))
+        for read in (load, lambda p: decode(json.loads(p.read_text()))):
+            with pytest.raises(ParseError) as exc:
+                read(path)
+            assert str(exc.value) == message
 
 
 def test_load_peak_memory_stays_below_three_times_the_file(tmp_path):
@@ -571,3 +583,122 @@ def test_load_peak_memory_stays_below_three_times_the_file(tmp_path):
         tracemalloc.stop()
     assert doc.kind == "witness"
     assert peak < 3 * os.path.getsize(path)
+
+
+def _takes_the_pre_pass(path):
+    """True when load reads the compact matrices of path before the JSON
+    parser runs, rather than parsing the file's own text."""
+    return serialize._compact_tree(path.read_bytes()) is not None
+
+
+def test_label_holding_a_compact_matrix_stays_a_label(tmp_path):
+    # the pre-pass skips JSON strings whole, escaped quotes and backslashes too
+    labels = ["[[[0.5,0]]]", 'b"[[[0.5,0]]]', "c\\[[[1,2]]]", "d\\"]
+    P = Povm(1, [(l, [[0.25]]) for l in labels])
+    path = tmp_path / "labels.json"
+    save(P, path)
+    assert _takes_the_pre_pass(path)
+    Q = load(path).payload
+    assert Q.labels == labels
+    assert Q.effects.tobytes() == P.effects.tobytes()
+
+
+def _povm_text(effects, extra=""):
+    outcomes = ",".join(f'{{"label":"{i}","effect":{e}}}' for i, e in enumerate(effects))
+    return f'{{"kind":"povm","version":1,"dim":1,{extra}"outcomes":[{outcomes}]}}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_povm_text(["[[[0]]]", "[[[0.5,0.25]]]"]), "povm.outcomes[0].effect[0][0]: expected a [re, im] pair"),
+        (_povm_text(["[[[0.5,0.25]]]", "[[[0]]]"]), "povm.outcomes[1].effect[0][0]: expected a [re, im] pair"),
+        (_povm_text(["[[[0.5,0.25]]]", "[[[1]]]"]), "povm.outcomes[1].effect[0][0]: expected a [re, im] pair"),
+        (_povm_text(["[[[0]]]"], '"note":[[[0.5,0.25]]],'), "povm: unknown field 'note'"),
+        # the forged kraus matrix takes the place of the compact probs, so
+        # only the file's own text names the first fault
+        (
+            '{"kind":"program","version":1,"probs":[[[0.5,0.25]]],"components":[{"dim_in":1,'
+            '"dim_out":1,"outcomes":[{"label":"a","kraus":[[[[0]]]]}]}],"processors":[]}',
+            "program.components[0].outcomes[0].kraus[0][0][0]: expected a [re, im] pair",
+        ),
+    ],
+    ids=["before-a-matrix", "after-a-matrix", "next-index", "beside-unknown-field", "for-probs"],
+)
+def test_forged_placeholder_gives_the_parse_error_of_the_file(tmp_path, text, message):
+    path = tmp_path / "forged.json"
+    path.write_text(text)
+    for read in (load, lambda p: decode(json.loads(p.read_text()))):
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == message
+
+
+def test_invalid_json_after_a_compact_matrix_names_the_files_position(tmp_path):
+    # the placeholder is shorter than the matrix, so a position in the
+    # parsed skeleton would be column 54
+    path = tmp_path / "garbled.json"
+    path.write_text('{"kind":"state","version":1,"dim":1,"matrix":[[[0.5,0.25]]],}\n')
+    with pytest.raises(ParseError, match="invalid JSON at line 1 column 61: Expecting property name"):
+        load(path)
+
+
+def test_document_mixing_compact_and_indented_matrices(tmp_path):
+    P = random_povm(3, 2, 7)
+    effects = encode(document_for(P))["outcomes"]
+    path = tmp_path / "mixed.json"
+    path.write_text(
+        '{"kind":"povm","version":1,"dim":2,"outcomes":['
+        + ",".join(
+            json.dumps(e, indent=2 if i == 1 else None, separators=None if i == 1 else (",", ":"))
+            for i, e in enumerate(effects)
+        )
+        + "]}"
+    )
+    assert _takes_the_pre_pass(path)
+    assert load(path).payload.effects.tobytes() == P.effects.tobytes()
+
+
+INTEGER_STATE_TEXT = (
+    '{"kind":"state","version":1,"dim":2,"matrix":[[[1,0],[0,-0]],'
+    '[[18446744073709551616,-9223372036854775809],[-7,123456789012345678901234567890]]]}'
+)
+
+
+def test_integer_and_out_of_range_leaves_of_a_compact_matrix(tmp_path):
+    path = tmp_path / "ints.json"
+    path.write_text(INTEGER_STATE_TEXT)
+    assert _takes_the_pre_pass(path)
+    want = np.array(json.loads(INTEGER_STATE_TEXT)["matrix"], dtype=float)
+    assert load(path).payload.matrix.tobytes() == want.tobytes()
+    for number in ("1e400", "-1e400"):
+        path.write_text(INTEGER_STATE_TEXT.replace("-7", number))
+        with pytest.raises(ParseError, match=r"^state\.matrix\[1\]\[1\]: expected finite numbers$"):
+            load(path)
+    path.write_text(INTEGER_STATE_TEXT.replace("-7", str(10**400)))
+    with pytest.raises(ParseError, match=r"^state\.matrix: expected finite numbers$"):
+        load(path)
+
+
+def test_utf16_and_bom_files_are_refused(tmp_path):
+    path = tmp_path / "encoded.json"
+    save(State(2, TINY_STATE), path)
+    text = path.read_bytes()
+    path.write_bytes(codecs.BOM_UTF8 + text)
+    with pytest.raises(ParseError, match="line 1 column 1: Unexpected UTF-8 BOM"):
+        load(path)
+    path.write_bytes(text.decode().encode("utf-16"))
+    with pytest.raises(UnicodeDecodeError):
+        load(path)
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=50))
+@example([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310, 1.7976931348623157e308])
+def test_finite_doubles_survive_save_and_load_bitwise(tmp_path_factory, values):
+    dim = math.ceil(math.sqrt(len(values) / 2))
+    state = State(dim, _square(values, dim))
+    path = tmp_path_factory.mktemp("doubles") / "state.json"
+    save(state, path)
+    assert _takes_the_pre_pass(path)
+    assert load(path).payload.matrix.tobytes() == state.matrix.tobytes()
