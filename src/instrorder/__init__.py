@@ -12,7 +12,6 @@ from .classify import (
     is_indecomposable_instrument,
     is_measure_and_prepare,
     is_post_processing_clean,
-    is_simulation_irreducible,
     is_trash_and_prepare,
 )
 from .errors import (

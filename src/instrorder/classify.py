@@ -189,13 +189,8 @@ def is_post_processing_clean(I: Instrument, tol: Tolerance = DEFAULT_TOL) -> boo
     """Nothing strictly above I in the post-processing order: holds exactly
     when the identity-class certificate exists.
 
-    Also answers is_simulation_irreducible (any simulation of I by mixing
-    post-processed instruments must already contain I's equivalence
-    class), which coincides with the identity class too.
+    Simulation irreducibility (any simulation of I by mixing post-processed
+    instruments must already contain I's equivalence class) is the same
+    class, so this predicate answers it too.
     """
     return identity_class_certificate(I, tol) is not None
-
-
-# Simulation irreducibility and post-processing cleanness are both the
-# identity class, so one predicate serves under both names.
-is_simulation_irreducible = is_post_processing_clean

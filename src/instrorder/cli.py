@@ -154,8 +154,6 @@ def cmd_classify(args) -> int:
             "trash_and_prepare": tp is not None,
             "measure_and_prepare": mp is not None,
             "identity_class": ic is not None,
-            "post_processing_clean": ic is not None,
-            "simulation_irreducible": ic is not None,
             "extreme": is_extreme(I, tol),
             "isometric_channel": is_isometric_channel(I, tol),
         }

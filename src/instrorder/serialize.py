@@ -11,26 +11,27 @@ for 1e-05 and 1e16 for 1e+16, the same doubles in any JSON reader.  orjson
 would write NaN and infinities as null, so save refuses non-finite values
 with a ValueError naming the field, before the file is opened.
 
-load reads the file's bytes and first lifts out every compact matrix, the
-text save writes: one regex scan, which skips JSON strings, stops at each
-[[[ that opens a number, and the matrix runs to the next ]]].  A candidate
-is taken only when its text with the number characters deleted is exactly
-the bracket-and-comma skeleton of a rows x cols matrix of pairs, and orjson
-parses its numbers, brackets removed, as one flat list; that skips the
-Python list per [re, im] pair that a nested parse builds.  Each taken
-matrix becomes its float64 (rows, cols, 2) array and leaves a placeholder
-[[[k]]] in the text, and the standard json module parses the small text
-that is left.  An object_hook puts each array back where its placeholder
-stands, and converts every other matrix (every effect, matrix and choi
-field and each entry of a kraus list) by one numpy conversion as soon as
-the parser closes the object that holds it, so whitespace is free: an
-indented document loads to the same payload, and only one such matrix's
-nested lists are alive at a time.  When that text is not valid JSON, a
-placeholder comes out of turn or is left over (a [[[0]]] written in the
-file itself), or decode fails, load parses the file's own UTF-8 text
-instead, so every error names the file's own line and column and reads as
-it would without the lift.  A report is free JSON, so load parses it again
-without any conversion.
+load reads the file's bytes and lifts out every matrix, compact or
+indented: one regex scan, which skips JSON strings, stops at each [[[ that
+opens a number, and the matrix runs to the next ]]] (whitespace allowed
+between the brackets).  A candidate is a matrix when no number stands
+right after ], ], or ]],[ (outside its [re, im] pair), its text with the
+number characters and whitespace deleted is exactly the bracket-and-comma
+skeleton of a rows x cols matrix of pairs, and orjson parses its numbers,
+brackets removed, as one flat list; that skips the Python list per
+[re, im] pair that a nested parse builds.  Each matrix becomes its float64
+(rows, cols, 2) array and leaves a placeholder [[[k]]] in the text.  If
+any candidate is not a matrix (a malformed one, a number orjson refuses,
+or a [[[0]]] written in the file itself), nothing is lifted, so every
+[[[k]]] in a lifted text is a placeholder.  The standard json module
+parses the lifted text once, and an object_hook puts each array back
+where its placeholder stands as an effect, matrix or choi field or an
+entry of a kraus list.  load parses the file's own UTF-8 text instead
+when nothing was lifted, when the lifted text is not valid JSON (so the
+error names the file's own line and column), when a placeholder stands
+where no matrix belongs, and for a report, which is free JSON.  Either
+way decode runs once, on a tree whose matrices are arrays or the lists
+json gives, and names every fault as it would on the plain tree.
 
 Parsing is strict: unknown fields, wrong shapes, leaves that are not JSON
 numbers (true, "0.5", null), non-finite numbers (NaN, Infinity or values
@@ -161,18 +162,6 @@ def _float_pairs(obj):
         return None
 
 
-def _converted(value):
-    """value as its float64 pairs array when it is a rectangular nested list
-    of [re, im] pairs with int and float leaves, else value itself, so that
-    decode names what is wrong with it."""
-    pairs = _float_pairs(value) if _json_pairs(value) else None
-    return value if pairs is None else pairs
-
-
-class _Misplaced(Exception):
-    """A placeholder of load's pre-pass came out of turn."""
-
-
 def _placeholder_index(value):
     """k when value is [[[k]]] with k an int, else None."""
     for _ in range(3):
@@ -183,16 +172,11 @@ def _placeholder_index(value):
 
 
 class _MatrixHook:
-    """json object_hook: convert every matrix field of a just-parsed object
-    (every effect, matrix and choi field and each entry of a kraus list), so
-    its nested lists are freed before the next matrix is read.
+    """json object_hook for a text of _lift: put arrays[k] back where the
+    placeholder [[[k]]] stands as a matrix field (an effect, matrix or choi
+    field, or an entry of a kraus list), and count the placeholders taken."""
 
-    Given the arrays of load's pre-pass, a matrix field that reads [[[k]]]
-    is the placeholder of arrays[k].  Placeholders are taken in the order
-    the pre-pass made them, so a [[[0]]] written in the file itself takes
-    one out of turn, or one too many, and raises _Misplaced."""
-
-    def __init__(self, arrays=None):
+    def __init__(self, arrays):
         self.arrays = arrays
         self.used = 0
 
@@ -206,17 +190,15 @@ class _MatrixHook:
         return obj
 
     def _matrix(self, value):
-        k = None if self.arrays is None else _placeholder_index(value)
+        k = _placeholder_index(value)
         if k is None:
-            return _converted(value)
-        if k != self.used or k == len(self.arrays):
-            raise _Misplaced
+            return value
         self.used += 1
         return self.arrays[k]
 
 
 def _dec_matrix(obj, rows, cols, where):
-    # One numpy conversion, here or in load's hook; the per-entry scan runs
+    # One numpy conversion, here or in load's lift; the per-entry scan runs
     # only when a check fails.
     converted = isinstance(obj, np.ndarray)
     pairs = obj if converted else _float_pairs(obj)
@@ -455,10 +437,17 @@ def save(doc: Document, path) -> None:
 
 # One pass over a document's bytes stops at each JSON string, which is
 # skipped whole so that brackets in a label are never read as a matrix, and
-# at each [ that opens a compact matrix: [[[ then the start of a number.
-_SCAN = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"|\[\[\[(?=[-0-9])', re.DOTALL)
+# at each [ that opens a matrix: three brackets, then the start of a number,
+# with whitespace allowed between them.
+_SCAN = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"|\[\s*\[\s*\[\s*(?=[-0-9])', re.DOTALL)
+# A matrix runs to the first three closing brackets.  The search also stops
+# at a number right after ], ], or ]],[, which stands outside its [re, im]
+# pair: once _matrix_pairs deletes the brackets, nothing else would tell it
+# from a number inside the pair, or keep it from joining that number.  The
+# lookahead passes over the ],[ between two pairs at once.
+_END = re.compile(rb"\](?!,\[)\s*(?:\]\s*(?:\]|,\s*\[\s*N)|,\s*N|N)".replace(b"N", rb"[-+.0-9eE]"))
 _QUOTE = ord('"')
-_NUMBER_BYTES = b"0123456789.-+eE"
+_NUMBER_AND_SPACE_BYTES = b"0123456789.-+eE \t\n\r"
 
 
 def _skeleton(rows, cols):
@@ -467,29 +456,30 @@ def _skeleton(rows, cols):
     return b"[" + b",".join([row] * rows) + b"]"
 
 
-def _compact_matrix(text):
+def _matrix_pairs(text):
     """The float64 (rows, cols, 2) array of text, which runs from [[[ to the
-    next ]]], or None unless text is a compact matrix of [re, im] pairs of
-    JSON numbers that are finite as doubles."""
-    skeleton = text.translate(None, _NUMBER_BYTES)
+    next ]]], or None unless text is a matrix of [re, im] pairs of JSON
+    numbers that are finite as doubles."""
+    skeleton = text.translate(None, _NUMBER_AND_SPACE_BYTES)
     cols = skeleton.find(b"]]") // 4
     rows = (len(skeleton) - 1) // (4 * cols + 2) if cols > 0 else 0
     if rows < 1 or skeleton != _skeleton(rows, cols):
         return None
     try:
-        # Only digits, .-+eE and commas are left, so every value orjson
-        # returns is an int or a float.
+        # Only digits, .-+eE, commas and whitespace are left, so every value
+        # orjson returns is an int or a float.
         values = orjson.loads(b"[" + text.replace(b"[", b"").replace(b"]", b"") + b"]")
     except orjson.JSONDecodeError:  # a malformed number, or one past the float range
         return None
     return np.array(values, dtype=float).reshape(rows, cols, 2)
 
 
-def _compact_tree(data):
-    """The JSON tree of the document bytes data with every compact matrix
-    already its float64 pairs array, or None when load must parse the file's
-    own text: no compact matrix, invalid JSON, or a placeholder out of turn
-    or left over."""
+def _lift(data):
+    """(text, arrays): the document bytes data with its k-th matrix replaced
+    by the placeholder [[[k]]] of its float64 (rows, cols, 2) pairs array
+    arrays[k].  Every matrix is lifted or none: when any candidate is not a
+    matrix of [re, im] pairs, (data, []), so a [[[k]]] read from a lifted
+    text is always a placeholder."""
     parts, arrays = [], []
     done = at = 0  # data[:done] is in parts; the scan resumes at data[at]
     while (match := _SCAN.search(data, at)) is not None:
@@ -497,57 +487,44 @@ def _compact_tree(data):
         if data[start] == _QUOTE:
             at = match.end()
             continue
-        end = data.find(b"]]]", start)
-        if end < 0:
-            break  # no matrix closes after this point
-        end += 3
-        pairs = _compact_matrix(data[start:end])
+        end = _END.search(data, start)
+        if end is None or not end.group().endswith(b"]"):
+            return data, []  # no ]]] closes it, or a number stands outside its pair
+        pairs = _matrix_pairs(data[start : end.end()])
         if pairs is None:
-            # Left to the JSON parser.  A rejected candidate can run into a
-            # string, so the scan goes on just after its first bracket.
-            at = start + 1
-            continue
+            return data, []
         # The placeholder holds no quote, so the scan stays out of strings.
         parts += (data[done:start], b"[[[%d]]]" % len(arrays))
         arrays.append(pairs)
-        done = at = end
-    if not arrays:
-        return None
+        done = at = end.end()
     parts.append(data[done:])
-    hook = _MatrixHook(arrays)
-    try:
-        tree = json.loads(b"".join(parts).decode("utf-8"), object_hook=hook)
-    except (UnicodeDecodeError, json.JSONDecodeError, _Misplaced):
-        return None
-    return tree if hook.used == len(arrays) else None
+    return b"".join(parts), arrays
 
 
-def _parse(text, path, object_hook=None):
+def _parse(text, path):
     try:
-        return json.loads(text, object_hook=object_hook)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
 
 
-def _is_report(raw):
-    return isinstance(raw, dict) and raw.get("kind") == "report"
-
-
 def load(path) -> Document:
     with open(path, "rb") as fh:
         data = fh.read()
-    raw = _compact_tree(data)
-    if raw is not None and not _is_report(raw):
+    text, arrays = _lift(data)
+    raw = None
+    if arrays:
+        hook = _MatrixHook(arrays)
         try:
-            return decode(raw)
-        except ParseError:
-            pass  # named below from the file's own text, as without the pre-pass
-    text = data.decode("utf-8")
-    raw = _parse(text, path, _MatrixHook())
-    if _is_report(raw):
-        # A report is free JSON, which the hook must not convert; reports
-        # are small, so parse them again.
-        raw = _parse(text, path)
+            raw = json.loads(text.decode("utf-8"), object_hook=hook)
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            pass  # named below from the file's own line and column
+        # A placeholder the hook did not take stands where no matrix
+        # belongs, and a report is free JSON: both are read as written.
+        if hook.used < len(arrays) or (type(raw) is dict and raw.get("kind") == "report"):
+            raw = None
+    if raw is None:
+        raw = _parse(data.decode("utf-8"), path)
     return decode(raw)

@@ -13,7 +13,6 @@ from instrorder import (
     is_isometric_channel,
     is_measure_and_prepare,
     is_post_processing_clean,
-    is_simulation_irreducible,
     is_trash_and_prepare,
     is_trivial,
     isometric_channel,
@@ -174,7 +173,6 @@ def test_extreme_accepts_basis_luders():
 
 
 def test_clean_equals_irreducible_equals_certificate():
-    assert is_simulation_irreducible is is_post_processing_clean
     cases = [
         identity_instrument(2),
         luders(basis_pvm(2)),
@@ -184,7 +182,6 @@ def test_clean_equals_irreducible_equals_certificate():
     for I in cases:
         present = identity_class_certificate(I) is not None
         assert is_post_processing_clean(I) == present
-        assert is_simulation_irreducible(I) == present
 
 
 def test_trash_implies_measure_with_trivial_povm():

@@ -132,8 +132,8 @@ def test_classify_identity_channel(tmp_path, capsys):
     assert main(["classify", "--json", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["identity_class"] is True
-    assert report["post_processing_clean"] is True
-    assert report["simulation_irreducible"] is True
+    assert "post_processing_clean" not in report
+    assert "simulation_irreducible" not in report
     assert report["extreme"] is True
     assert report["isometric_channel"] is True
     assert report["trash_and_prepare"] is False

@@ -2,6 +2,7 @@ import codecs
 import json
 import math
 import os
+import random
 import re
 import tracemalloc
 
@@ -585,19 +586,19 @@ def test_load_peak_memory_stays_below_three_times_the_file(tmp_path):
     assert peak < 3 * os.path.getsize(path)
 
 
-def _takes_the_pre_pass(path):
-    """True when load reads the compact matrices of path before the JSON
-    parser runs, rather than parsing the file's own text."""
-    return serialize._compact_tree(path.read_bytes()) is not None
+def _takes_the_lift(path):
+    """True when load lifts the matrices of path before the JSON parser
+    runs, rather than parsing the file's own text."""
+    return bool(serialize._lift(path.read_bytes())[1])
 
 
 def test_label_holding_a_compact_matrix_stays_a_label(tmp_path):
-    # the pre-pass skips JSON strings whole, escaped quotes and backslashes too
+    # the lift skips JSON strings whole, escaped quotes and backslashes too
     labels = ["[[[0.5,0]]]", 'b"[[[0.5,0]]]', "c\\[[[1,2]]]", "d\\"]
     P = Povm(1, [(l, [[0.25]]) for l in labels])
     path = tmp_path / "labels.json"
     save(P, path)
-    assert _takes_the_pre_pass(path)
+    assert _takes_the_lift(path)
     Q = load(path).payload
     assert Q.labels == labels
     assert Q.effects.tobytes() == P.effects.tobytes()
@@ -655,8 +656,145 @@ def test_document_mixing_compact_and_indented_matrices(tmp_path):
         )
         + "]}"
     )
-    assert _takes_the_pre_pass(path)
+    assert _takes_the_lift(path)
     assert load(path).payload.effects.tobytes() == P.effects.tobytes()
+
+
+def _matrix_count(tree):
+    """The number of effect, matrix and choi fields and kraus entries in tree."""
+    if isinstance(tree, list):
+        return sum(map(_matrix_count, tree))
+    if not isinstance(tree, dict):
+        return 0
+    own = sum(key in tree for key in ("effect", "matrix", "choi")) + len(tree.get("kraus", ()))
+    return own + sum(map(_matrix_count, tree.values()))
+
+
+@pytest.mark.parametrize("kind", [kind for kind in KINDS if kind != "report"])
+def test_every_matrix_is_lifted_compact_or_indented(tmp_path, kind):
+    # save's compact text, the same tree indented, and with json.dumps's
+    # default ", " and ": " separators
+    path, again = tmp_path / "doc.json", tmp_path / "again.json"
+    save(document_for(SAMPLES[kind]()), path)
+    compact = path.read_bytes()
+    tree = json.loads(compact)
+    assert _matrix_count(tree) > 0
+    for text in (compact, json.dumps(tree, indent=2).encode(), json.dumps(tree).encode()):
+        assert len(serialize._lift(text)[1]) == _matrix_count(tree)
+        path.write_bytes(text)
+        save(load(path), again)
+        assert again.read_bytes() == compact
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_povm_text(["[[[[0.5,0.25]]]]"]), "povm.outcomes[0].effect[0][0]: expected a [re, im] pair"),
+        (
+            '{"kind":"instrument","version":1,"dim_in":1,"dim_out":1,'
+            '"outcomes":[{"label":"a","kraus":[[[0.5,0.25]]]}]}',
+            "instrument.outcomes[0].kraus[0][0]: expected 1 entries",
+        ),
+    ],
+    ids=["effect-one-level-too-deep", "whole-kraus-list"],
+)
+def test_misplaced_matrix_gives_the_parse_error_of_the_file(tmp_path, text, message):
+    # the matrix is lifted, but its placeholder stands where no matrix belongs
+    path = tmp_path / "misplaced.json"
+    path.write_text(text)
+    assert _takes_the_lift(path)
+    for read in (load, lambda p: decode(json.loads(p.read_text()))):
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("key", ["states", "matrix"])
+def test_report_holding_a_matrix_loads_as_plain_json(tmp_path, key):
+    # outside any matrix field, and in a field a document reads as a matrix
+    path = tmp_path / "report.json"
+    save(document_for({"command": "classify", key: [[[0.5, 0.25]]]}), path)
+    assert _takes_the_lift(path)
+    with open(path) as fh:
+        want = json.load(fh)["report"]
+    got = load(path).payload
+    assert got == want and type(got[key]) is list
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("-0.25]],", "-0.25]]5,"),
+        (",[-0.0,", ",-0.0[,"),
+        (",[[0.0,", ",[0.0[,"),
+        (",-0.25]]", ",]-0.25]"),
+    ],
+    ids=["after-a-row", "before-its-pair", "inside-a-row-start", "after-its-pair"],
+)
+def test_number_outside_its_pair_is_invalid_json(tmp_path, old, new):
+    # the brackets and commas still read as a 2 x 2 matrix, but a number
+    # stands outside its [re, im] pair
+    text = TINY_STATE_COMPACT.replace(old, new)
+    assert text.count(new) == 1
+    path = tmp_path / "outside.json"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    with pytest.raises(ParseError) as got:
+        load(path)
+    assert str(got.value) == (
+        f"{path}: invalid JSON at line {want.value.lineno} column {want.value.colno}: {want.value.msg}"
+    )
+
+
+def _garbled(text, rng):
+    """text after one to three random deletions, replacements, insertions
+    or swaps of neighbouring bytes."""
+    t = bytearray(text)
+    for _ in range(rng.randint(1, 3)):
+        pos = rng.randrange(len(t) - 1)
+        edit = rng.randrange(4)
+        if edit == 0:
+            del t[pos]
+        elif edit == 1:
+            t[pos] = rng.choice(b'[]{},:0123456789.-eE "\n')
+        elif edit == 2:
+            t.insert(pos, rng.choice(b'[]{},:0123456789.-eE "\n'))
+        else:
+            t[pos], t[pos + 1] = t[pos + 1], t[pos]
+    return bytes(t)
+
+
+def _outcome(read):
+    try:
+        return json.dumps(encode(read()))
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_load_of_a_garbled_document_is_decode_of_its_json(tmp_path):
+    # every document kind, compact and indented, edited at random: load
+    # gives the payload or the error text of json.loads and then decode
+    path = tmp_path / "garbled.json"
+    texts = []
+    for kind in KINDS:
+        save(document_for(SAMPLES[kind]()), path)
+        texts += [path.read_bytes(), json.dumps(json.loads(path.read_bytes()), indent=1).encode()]
+
+    def plain(text):
+        try:
+            tree = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from None
+        return decode(tree)
+
+    rng = random.Random(0)
+    for _ in range(1500):
+        text = _garbled(rng.choice(texts), rng)
+        path.write_bytes(text)
+        assert _outcome(lambda: load(path)) == _outcome(lambda: plain(text)), text
 
 
 INTEGER_STATE_TEXT = (
@@ -668,7 +806,7 @@ INTEGER_STATE_TEXT = (
 def test_integer_and_out_of_range_leaves_of_a_compact_matrix(tmp_path):
     path = tmp_path / "ints.json"
     path.write_text(INTEGER_STATE_TEXT)
-    assert _takes_the_pre_pass(path)
+    assert _takes_the_lift(path)
     want = np.array(json.loads(INTEGER_STATE_TEXT)["matrix"], dtype=float)
     assert load(path).payload.matrix.tobytes() == want.tobytes()
     for number in ("1e400", "-1e400"):
@@ -700,5 +838,5 @@ def test_finite_doubles_survive_save_and_load_bitwise(tmp_path_factory, values):
     state = State(dim, _square(values, dim))
     path = tmp_path_factory.mktemp("doubles") / "state.json"
     save(state, path)
-    assert _takes_the_pre_pass(path)
+    assert _takes_the_lift(path)
     assert load(path).payload.matrix.tobytes() == state.matrix.tobytes()
