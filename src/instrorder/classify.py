@@ -16,6 +16,7 @@ from .instrument import (
     Instrument,
     QuantumOperation,
     State,
+    choi_distance,
     ground_state,
     is_zero_operation,
     minimal_kraus,
@@ -161,7 +162,7 @@ def certificate_error(I: Instrument, cert: IdentityClassCertificate) -> float:
             for w2, V2 in entry[i + 1 :]:
                 errors.append(frob_dist(V2.conj().T @ V, np.zeros_like(eye)))
         rebuilt = QuantumOperation(cert.dim_in, cert.dim_out, [np.sqrt(w) * V for w, V in entry])
-        errors.append(frob_dist(rebuilt.choi_matrix, op.choi_matrix))
+        errors.append(choi_distance(rebuilt, op))
     return float(np.max(errors))
 
 

@@ -1,18 +1,20 @@
 """Quantum operations, instruments, and structural post-processing on them.
 
-Operations are stored in Kraus form; their Choi matrix is cached and is the
-canonical fingerprint for equality tests.  The Choi convention pairs the
-input index with the row block: C = Σ_k vec(K_k) vec(K_k)† with
-vec(K)[i * dim_out + a] = K[a, i], so the identity channel has Choi
-Σ_ij |ii⟩⟨jj| and tracing out the output block returns the transposed
-induced effect.
+Operations are stored in Kraus form; their Choi matrix is cached, and the
+Choi distance of two operations is read from their Kraus matrices without
+forming it (_choi_gap).  The Choi convention pairs the input index with the
+row block: C = Σ_k vec(K_k) vec(K_k)† with vec(K)[i * dim_out + a] = K[a, i],
+so the identity channel has Choi Σ_ij |ii⟩⟨jj| and tracing out the output
+block returns the transposed induced effect.
 
-Both the Choi matrix and the minimal Kraus form are read from one stacked
-matrix V whose columns are the vec(K_k) (_kraus_columns): C = V V†, and the
-minimal Kraus form comes from a thin SVD of V.
+The Choi matrix, the minimal Kraus form and the Choi distance are all read
+from one stacked matrix V whose columns are the vec(K_k) (_kraus_columns):
+C = V V†, the minimal Kraus form comes from a thin SVD of V, and the
+distance from a thin QR of both operations' columns side by side.
 
 An operation's Kraus form is one C-contiguous, read-only complex array of
-shape (k, dim_out, dim_in), copied from the matrices it is built from.  The
+shape (k, dim_out, dim_in), copied from the matrices it is built from (a
+stacked array has its shape checked once, a list matrix by matrix).  The
 constructor owns the zero rule: matrices that are exactly zero are dropped,
 and when none is left the array holds one zero matrix, so an empty list
 builds the zero operation.  Constructions therefore hand over whatever
@@ -35,6 +37,7 @@ from .errors import DimensionMismatch, LabelMismatch, OutcomeSetMismatch, Unknow
 from .linalg import (
     DEFAULT_TOL,
     Tolerance,
+    frob,
     frob_dist,
     hermitize,
     is_hermitian,
@@ -57,9 +60,10 @@ class QuantumOperation:
 
     def __post_init__(self):
         shape = (self.dim_out, self.dim_in)
-        for K in self.kraus:
-            if np.shape(K) != shape:
-                raise DimensionMismatch(f"Kraus shape {np.shape(K)}, expected {shape}")
+        stacked = isinstance(self.kraus, np.ndarray) and self.kraus.ndim == 3
+        for got in [self.kraus.shape[1:]] if stacked else map(np.shape, self.kraus):
+            if got != shape:
+                raise DimensionMismatch(f"Kraus shape {got}, expected {shape}")
         ks = np.array(self.kraus, dtype=complex, order="C").reshape(-1, *shape)
         nonzero = ks.any(axis=(1, 2)).tolist()  # a list: all() on it is cheap
         if not all(nonzero):
@@ -149,10 +153,32 @@ def choi(op: QuantumOperation) -> np.ndarray:
     return op.choi_matrix
 
 
+def _choi_gap(a: QuantumOperation, b: QuantumOperation) -> float:
+    """‖Choi(a) − Choi(b)‖_F without forming either Choi matrix.
+
+    With W = [V_a | V_b] the stacked Kraus columns of both operations and
+    S = diag(I_ka, −I_kb), Choi(a) − Choi(b) = W S W†.  A thin QR, W = QR,
+    turns that into Q (R S R†) Q†, whose norm is that of the
+    (k_a+k_b)-square R S R† = R_a R_a† − R_b R_b† for R = [R_a | R_b].
+    When k_a + k_b ≥ dim_in·dim_out, R = W.  Expanding the norm through
+    Gram traces instead would cancel to about √eps of absolute error, above
+    eq_abs.  Equal Kraus forms are exactly 0 apart, as their Choi matrices
+    are.
+    """
+    if a.kraus.shape == b.kraus.shape and np.array_equal(a.kraus, b.kraus):
+        return 0.0
+    Ra, Rb = _kraus_columns(a), _kraus_columns(b)
+    ka = Ra.shape[1]
+    if ka + Rb.shape[1] < len(Ra):
+        R = np.linalg.qr(np.concatenate([Ra, Rb], axis=1), mode="r")
+        Ra, Rb = R[:, :ka], R[:, ka:]
+    return frob(Ra @ Ra.conj().T - Rb @ Rb.conj().T)
+
+
 def choi_distance(a: QuantumOperation, b: QuantumOperation) -> float:
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise DimensionMismatch("operations act between different spaces")
-    return frob_dist(a.choi_matrix, b.choi_matrix)
+    return _choi_gap(a, b)
 
 
 def instrument_distance(I: Instrument, J: Instrument) -> float:
@@ -356,10 +382,11 @@ def measure_and_prepare(A: Povm, states, tol: Tolerance = DEFAULT_TOL) -> Instru
         p, psi = np.linalg.eigh(hermitize(xi))
         q_keep = q > tol.rank_rel * q.max(initial=0.0)
         p_keep = p > tol.rank_rel * p.max(initial=0.0)
-        ks = []
-        for i in np.nonzero(p_keep)[0]:
-            for j in np.nonzero(q_keep)[0]:
-                ks.append(np.sqrt(p[i] * q[j]) * np.outer(psi[:, i], phi[:, j].conj()))
+        # √(p_i q_j) · ψ_i φ_j†, i major: the weight multiplies the formed
+        # outer product, as np.outer followed by a scalar product rounds
+        weights = np.sqrt(np.multiply.outer(p[p_keep], q[q_keep]))
+        outer = psi[:, p_keep].T[:, None, :, None] * phi[:, q_keep].conj().T[None, :, None, :]
+        ks = (weights[:, :, None, None] * outer).reshape(-1, d_out, A.dim)
         outcomes.append((label, QuantumOperation(A.dim, d_out, ks)))
     return Instrument(A.dim, d_out, outcomes)
 

@@ -1,10 +1,15 @@
 """Post-processing relations between instruments, in replayable form.
 
 Every function here that claims J is reachable from I returns a witness: a
-processor instrument per source outcome, plus the target's per-outcome Choi
-matrices as fingerprint.  replay_witness pushes the source back through
+processor instrument per source outcome, plus the target instrument J
+itself, in Kraus form.  replay_witness pushes the source back through
 compose_post_processing so the claim can always be checked numerically;
-witness_error also holds every processor to trace preservation.
+witness_error compares each replayed operation with the target's from the
+Kraus matrices of both, without forming a Choi matrix
+(instrument._choi_gap), and also holds every processor to trace
+preservation.  A witness read from a version-1 document carries the Choi
+matrices the document states instead of a Kraus form, and is compared with
+them densely.
 
 Processors after a single Kraus matrix K follow one pull-back rule
 (instrument._pull_back): a target operation with Kraus matrices L reached
@@ -40,6 +45,7 @@ from .instrument import (
     _closed_processor,
     _minimal_branches,
     _pull_back,
+    choi_distance,
     complete_channel,
     compose_post_processing,
     detailed_instrument,
@@ -55,12 +61,21 @@ from .povm import find_post_processing, povm_equivalent
 @dataclass(eq=False)
 class InstrumentWitness:
     """Processors realizing a declared target as a post-processing of some
-    source instrument; the target is fingerprinted by its Choi matrices."""
+    source instrument.
+
+    target is the target instrument, whose Kraus form the replay is
+    compared with.  A witness read from a version-1 document holds instead
+    the dict label -> Choi matrix that the document states.
+    """
 
     source_labels: list
     processors: dict
-    target_labels: list
-    target_chois: dict
+    target: Instrument | dict
+
+    @property
+    def target_labels(self) -> list:
+        t = self.target
+        return t.labels if isinstance(t, Instrument) else list(t)
 
 
 @dataclass(eq=False)
@@ -86,16 +101,24 @@ def replay_witness(source: Instrument, w: InstrumentWitness) -> Instrument:
 
 
 def witness_error(source: Instrument, w: InstrumentWitness) -> float:
-    """Largest of the per-outcome Choi distances between replay and the
-    fingerprint and of the processors' normalization gaps ‖Σ_k K_k†K_k − I‖_F
-    (summed over every outcome's Kraus matrices): a replay can match its
-    target through processors that are not instruments.  NaN if any of
-    them is NaN."""
+    """Largest of the per-outcome Choi distances between replay and target
+    and of the processors' normalization gaps ‖Σ_k K_k†K_k − I‖_F (summed
+    over every outcome's Kraus matrices): a replay can match its target
+    through processors that are not instruments.  NaN if any of them is
+    NaN."""
     replay = replay_witness(source, w)
-    errors = [
-        frob_dist(replay.operation(y).choi_matrix, w.target_chois[y])
-        for y in w.target_labels
-    ]
+    if isinstance(w.target, Instrument):
+        errors = [choi_distance(replay.operation(y), op) for y, op in w.target.outcomes]
+    else:
+        errors = []
+        for y, stated in w.target.items():
+            C = replay.operation(y).choi_matrix
+            if stated.shape != C.shape:  # frob_dist would broadcast
+                raise DimensionMismatch(
+                    f"target {y!r} states a Choi matrix of shape {stated.shape}, "
+                    f"the replay's is {C.shape}"
+                )
+            errors.append(frob_dist(C, stated))
     for R in w.processors.values():
         stacked = np.concatenate([op.kraus for op in R.operations]).reshape(-1, R.dim_in)
         errors.append(frob_dist(stacked.conj().T @ stacked, np.eye(R.dim_in)))
@@ -104,10 +127,7 @@ def witness_error(source: Instrument, w: InstrumentWitness) -> float:
 
 def _witness(source: Instrument, processors: dict, target: Instrument) -> InstrumentWitness:
     return InstrumentWitness(
-        source_labels=list(source.labels),
-        processors=processors,
-        target_labels=list(target.labels),
-        target_chois={label: op.choi_matrix for label, op in target.outcomes},
+        source_labels=list(source.labels), processors=processors, target=target
     )
 
 

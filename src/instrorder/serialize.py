@@ -264,6 +264,10 @@ def _dec_state(obj, where):
 
 
 def _enc_witness(w: InstrumentWitness):
+    # Version 1 fingerprints the target by its Choi matrices.
+    chois = w.target
+    if isinstance(chois, Instrument):
+        chois = {label: op.choi_matrix for label, op in chois.outcomes}
     return {
         "source_labels": list(w.source_labels),
         "processors": [
@@ -271,7 +275,7 @@ def _enc_witness(w: InstrumentWitness):
             for x in w.source_labels
         ],
         "targets": [
-            {"label": y, "choi": _enc_matrix(w.target_chois[y])} for y in w.target_labels
+            {"label": y, "choi": _enc_matrix(chois[y])} for y in w.target_labels
         ],
     }
 
@@ -298,12 +302,7 @@ def _dec_witness(obj, where):
         choi = entry["choi"]
         side = len(choi if isinstance(choi, np.ndarray) else _list(entry, here, "choi", "matrix"))
         target_chois[entry["label"]] = _dec_matrix(choi, side, side, f"{here}.choi")
-    return InstrumentWitness(
-        source_labels=list(labels),
-        processors=processors,
-        target_labels=[entry["label"] for _, entry in targets],
-        target_chois=target_chois,
-    )
+    return InstrumentWitness(source_labels=list(labels), processors=processors, target=target_chois)
 
 
 def _enc_program(p: SimulationProgram):

@@ -5,6 +5,7 @@ import pytest
 
 from instrorder import (
     Instrument,
+    InstrumentWitness,
     Povm,
     QuantumOperation,
     SimulationProgram,
@@ -23,6 +24,7 @@ from instrorder import (
     trash_and_prepare,
     witness_detailed_to_original,
     witness_error,
+    witness_indecomposable_equivalence,
 )
 from instrorder import cli
 from instrorder.cli import main
@@ -335,6 +337,21 @@ def test_equiv_indecomposable_writes_witness(tmp_path, capsys):
     doc = load(out)
     assert doc.kind == "witness"
     assert witness_error(L, doc.payload) < 1e-9
+
+
+def test_equiv_witness_states_the_target_choi_matrices(tmp_path, capsys):
+    # the document is the version-1 witness of the parent format: the
+    # processors, then the target's Choi matrices V V†, byte for byte
+    L = luders(random_povm(3, 4, seed=12))
+    out = tmp_path / "w.json"
+    a = _write(tmp_path, "a.json", L)
+    assert main(["equiv", a, a, "--output", str(out)]) == 0
+    w = witness_indecomposable_equivalence(L, L).forward
+    stated = InstrumentWitness(
+        w.source_labels, w.processors, {y: choi(op) for y, op in L.outcomes}
+    )
+    save(document_for(stated), tmp_path / "stated.json")
+    assert out.read_bytes() == (tmp_path / "stated.json").read_bytes()
 
 
 def test_equiv_undecidable_exits_3(tmp_path, capsys):

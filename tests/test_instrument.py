@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from instrorder import (
     DimensionMismatch,
@@ -41,8 +43,14 @@ from instrorder import (
     validate_state,
     zero_operation,
 )
-from instrorder.instrument import check_weights, complete_channel, is_zero_operation, routed
-from instrorder.linalg import Tolerance, frob_dist, numerical_rank
+from instrorder.instrument import (
+    _choi_gap,
+    check_weights,
+    complete_channel,
+    is_zero_operation,
+    routed,
+)
+from instrorder.linalg import Tolerance, frob, frob_dist, hermitize, numerical_rank
 
 from helpers import basis_pvm, minimal_kraus_eigh
 
@@ -501,6 +509,29 @@ def test_kraus_shape_mismatch_names_the_shape():
         QuantumOperation(3, 2, [np.zeros((2, 3)), np.zeros((3, 2))])
 
 
+def test_stacked_kraus_shape_mismatch_names_the_shape():
+    with pytest.raises(DimensionMismatch, match=r"^Kraus shape \(3, 2\), expected \(2, 3\)$"):
+        QuantumOperation(3, 2, np.zeros((4, 3, 2)))
+    with pytest.raises(DimensionMismatch, match=r"^Kraus shape \(2, 2\), expected \(2, 3\)$"):
+        QuantumOperation(3, 2, np.zeros((0, 2, 2)))
+
+
+def test_measure_and_prepare_kraus_match_the_outer_product_loop():
+    A = random_povm(5, 4, seed=31)
+    states = [random_state(3, 40 + x) for x in range(5)]
+    I = measure_and_prepare(A, states)
+    for E, xi, op in zip(A.effects, states, I.operations):
+        q, phi = np.linalg.eigh(hermitize(E))
+        p, psi = np.linalg.eigh(hermitize(xi.matrix))
+        ks = [
+            np.sqrt(p[i] * q[j]) * np.outer(psi[:, i], phi[:, j].conj())
+            for i in np.nonzero(p > RANK_REL * p.max())[0]
+            for j in np.nonzero(q > RANK_REL * q.max())[0]
+        ]
+        assert len(ks) == 12
+        assert op.kraus.tobytes() == np.array(ks).tobytes()
+
+
 def test_empty_and_all_zero_kraus_lists_give_the_zero_operation():
     ref = zero_operation(3, 2)
     assert ref.kraus.shape == (1, 2, 3)
@@ -599,3 +630,60 @@ def test_zero_test_agrees_with_the_choi_trace():
     answers = [is_zero_operation(op, tol) for op in ops]
     assert answers[-2:] == [True, False]
     assert answers == [np.trace(op.choi_matrix).real <= tol.eq_abs for op in ops]
+
+
+def _gap_operands(d_in, d_out, k_a, k_b, relation, scale, seed):
+    """Kraus stacks a and b; k = 0 gives the zero operation.  relation:
+    independent b; b a unitary mixture of a (the same operation); b equal
+    to a; or b = a + scale · noise."""
+    rng = np.random.default_rng(seed)
+    gauss = lambda k: rng.normal(size=(k, d_out, d_in)) + 1j * rng.normal(size=(k, d_out, d_in))
+    a = gauss(k_a)
+    if relation == "independent":
+        b = gauss(k_b)
+    elif relation == "mixed":
+        U, _ = np.linalg.qr(rng.normal(size=(k_a, k_a)) + 1j * rng.normal(size=(k_a, k_a)))
+        b = np.einsum("ij,jab->iab", U, a)
+    elif relation == "equal":
+        b = a.copy()
+    else:
+        b = a + scale * gauss(k_a)
+    return QuantumOperation(d_in, d_out, a), QuantumOperation(d_in, d_out, b)
+
+
+@given(
+    d_in=st.integers(1, 6),
+    d_out=st.integers(1, 6),
+    k_a=st.integers(0, 40),
+    k_b=st.integers(0, 40),
+    relation=st.sampled_from(["independent", "mixed", "equal", "perturbed"]),
+    scale=st.sampled_from([1e-12, 1e-11, 1e-10, 1e-9, 1e-8]),
+    seed=st.integers(0, 2**32),
+)
+@example(d_in=6, d_out=6, k_a=30, k_b=6, relation="independent", scale=1e-9, seed=1)  # k = D
+@example(d_in=2, d_out=3, k_a=0, k_b=0, relation="independent", scale=1e-9, seed=2)  # both zero
+@example(d_in=3, d_out=2, k_a=0, k_b=4, relation="independent", scale=1e-9, seed=3)  # a zero
+@example(d_in=4, d_out=4, k_a=3, k_b=0, relation="independent", scale=1e-9, seed=4)  # b zero
+@example(d_in=5, d_out=4, k_a=7, k_b=0, relation="mixed", scale=1e-9, seed=5)
+@example(d_in=6, d_out=5, k_a=40, k_b=0, relation="mixed", scale=1e-9, seed=6)  # k > D
+@example(d_in=4, d_out=6, k_a=5, k_b=0, relation="perturbed", scale=1e-10, seed=7)
+@settings(derandomize=True, deadline=None, max_examples=120, database=None)
+def test_choi_gap_matches_the_dense_choi_distance(d_in, d_out, k_a, k_b, relation, scale, seed):
+    a, b = _gap_operands(d_in, d_out, k_a, k_b, relation, scale, seed)
+    Ca, Cb = a.choi_matrix, b.choi_matrix
+    dense = frob_dist(Ca, Cb)
+    assert abs(_choi_gap(a, b) - dense) <= 1e-13 * (1.0 + frob(Ca) + frob(Cb))
+    assert _choi_gap(b, a) == pytest.approx(_choi_gap(a, b), rel=1e-12, abs=1e-13 * (1.0 + frob(Ca)))
+    if relation == "equal":
+        assert _choi_gap(a, b) == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("dim", [2, 4], ids=["dense", "qr"])  # k = 2 against D = 4, 16
+def test_choi_gap_of_a_non_finite_operation_is_nan(bad, dim):
+    a = QuantumOperation(dim, dim, [np.eye(dim)])
+    K = np.eye(dim, dtype=complex)
+    K[1, 0] = bad
+    b = QuantumOperation(dim, dim, [K])
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(_choi_gap(a, b)) and np.isnan(_choi_gap(b, a))

@@ -238,18 +238,45 @@ def test_witness_error_counts_processor_normalization():
 
 
 def test_nan_witness_error_is_rejected():
-    # a NaN target Choi matrix after a finite one: max() alone would keep the
+    # a NaN target Kraus matrix after a finite one: max() alone would keep the
     # finite distance, and `err > eq_abs` is False for NaN
     I = random_instrument(2, 2, 2, 2, seed=5)
     D = detailed_instrument(I)
     w = witness_detailed_to_original(I)
     assert witness_error(D, w) < 1e-12
     last = w.target_labels[-1]
-    w.target_chois[last] = np.full_like(w.target_chois[last], np.nan)
-    assert np.isnan(witness_error(D, w))
     outcomes = I.outcomes[:-1] + [(last, QuantumOperation(2, 2, [np.full((2, 2), np.nan)]))]
+    w.target = Instrument(2, 2, outcomes)
+    assert np.isnan(witness_error(D, w))
     with pytest.raises(SolverError, match="missed its target by nan"):
         _checked(D, w.processors, Instrument(2, 2, outcomes), DEFAULT_TOL)
+
+
+def test_replay_of_a_witness_built_in_memory_forms_no_choi_matrix(monkeypatch):
+    L = luders(random_povm(3, 4, seed=70))
+    D = detailed_instrument(L)
+    U = Instrument(4, 4, [("0", QuantumOperation(4, 4, [random_unitary(4, seed=71)]))])
+    M = measure_and_prepare(random_povm(3, 2, seed=72), [random_state(2, 73 + i) for i in range(3)])
+    T = trash_and_prepare([0.25, 0.75], [random_state(2, 76), random_state(2, 77)], dim_in=2)
+    eq = witness_indecomposable_equivalence(L, L)
+    cases = [
+        (D, witness_detailed_to_original(L)),
+        (L, witness_original_to_detailed(L)),
+        (U, witness_identity_reversal(U)),
+        (L, witness_to_trash_and_prepare(L, [1.0], [random_state(3, 78)])),
+        (L, eq.forward),
+        (L, eq.backward),
+        (M, witness_map_post_processing(M, T)),
+    ]
+
+    def formed(op):
+        raise AssertionError("a Choi matrix was formed")
+
+    # a data descriptor on the class shadows values cached on instances
+    monkeypatch.setattr(QuantumOperation, "choi_matrix", property(formed))
+    for source, w in cases:
+        assert witness_error(source, w) < 1e-9
+        assert _checked(source, w.processors, w.target, DEFAULT_TOL).target is w.target
 
 
 def test_pull_back_processors_are_instruments():
@@ -350,7 +377,7 @@ def test_witnesses_declare_targets_they_reproduce():
         replay = replay_witness(D, w)
         assert replay.labels == w.target_labels
         for x in w.target_labels:
-            assert frob_dist(w.target_chois[x], replay.operation(x).choi_matrix) < 1e-9
+            assert frob_dist(w.target.operation(x).choi_matrix, replay.operation(x).choi_matrix) < 1e-9
 
 
 def test_replayed_witnesses_stay_valid_instruments():

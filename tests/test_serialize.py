@@ -12,8 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from instrorder import (
+    DimensionMismatch,
+    Instrument,
     ParseError,
     Povm,
+    QuantumOperation,
     SimulationProgram,
     choi,
     detailed_instrument,
@@ -26,6 +29,7 @@ from instrorder import (
     State,
     trash_and_prepare,
     witness_detailed_to_original,
+    witness_error,
     witness_indecomposable_equivalence,
 )
 from instrorder import serialize
@@ -93,7 +97,35 @@ def test_witness_round_trip(tmp_path):
                 choi(a.operation(y)), choi(b.operation(y))
             )
     for y in w.target_labels:
-        assert np.array_equal(w.target_chois[y], v.target_chois[y])
+        assert np.array_equal(w.target.operation(y).choi_matrix, v.target[y])
+
+
+def test_loaded_witness_replays_as_built(tmp_path):
+    # a loaded witness holds the Choi matrices the file states and compares
+    # them densely; the one built in memory compares Kraus forms
+    L = luders(random_povm(4, 4, seed=21))
+    D = detailed_instrument(L)
+    for source, w in [
+        (L, witness_indecomposable_equivalence(L, L).forward),
+        (D, witness_detailed_to_original(L)),
+    ]:
+        path = tmp_path / "w.json"
+        save(document_for(w), path)
+        v = load(path).payload
+        assert isinstance(v.target, dict) and v.target_labels == w.target_labels
+        assert abs(witness_error(source, v) - witness_error(source, w)) <= 1e-12
+        save(document_for(v), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_loaded_witness_refuses_a_choi_matrix_of_the_wrong_size():
+    # a 1x1 matrix would broadcast against the replay's 4x4 Choi matrix
+    I = random_instrument(2, 2, 2, 2, seed=5)
+    obj = encode(document_for(witness_detailed_to_original(I)))
+    obj["targets"][0]["choi"] = [[[0.5, 0.0]]]
+    w = decode(obj).payload
+    with pytest.raises(DimensionMismatch, match=r"^target '0' states a Choi matrix of shape \(1, 1\)"):
+        witness_error(detailed_instrument(I), w)
 
 
 def test_program_round_trip(tmp_path):
@@ -415,9 +447,15 @@ def test_save_refuses_nan_program_probs_and_keeps_the_old_file(tmp_path):
 def test_save_names_a_nested_non_finite_matrix(tmp_path):
     w = SAMPLES["witness"]()
     y = w.target_labels[1]
-    w.target_chois[y] = w.target_chois[y].copy()
-    w.target_chois[y][2, 0] = np.inf
-    with pytest.raises(ValueError, match=r"^witness\.targets\[1\]\.choi: expected finite"):
+    ks = w.target.operation(y).kraus.copy()
+    ks[0, 1, 0] = np.inf
+    outcomes = list(w.target.outcomes)
+    outcomes[1] = (y, QuantumOperation(2, 2, ks))
+    w.target = Instrument(2, 2, outcomes)
+    # the Choi matrix of an inf Kraus matrix holds inf · 0 = NaN
+    with np.errstate(invalid="ignore"), pytest.raises(
+        ValueError, match=r"^witness\.targets\[1\]\.choi: expected finite"
+    ):
         save(w, tmp_path / "w.json")
     assert not (tmp_path / "w.json").exists()
 
