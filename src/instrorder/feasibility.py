@@ -13,6 +13,18 @@ stablest pivot among near-minimum ratios.  Neither rule is Bland's, so a
 degenerate vertex can cycle; max_iter then ends the search with
 SolverError.
 
+On the tableaux find_post_processing builds (about 20×30 to 80×130) a
+pivot costs numpy call overhead more than arithmetic, so each pivot makes
+few calls: one argmin over the objective row (a second, masked search
+only when that argmin finds no negative cost or stops at a NaN), ratios
+over the rows whose column entry clears _PIVOT_TOL only, lexsort only
+when more than one row ties for the leaving row, and an in-place update
+T -= other ⊗ row of the divided pivot row.  These shortcuts change no
+rule and no rounded operation of the textbook formulation (ratios masked
+over every row, np.outer for the update), so the pivot path and x match
+it to the bit; tests/test_feasibility.py pins that against a full-tableau
+reference, on random systems and on the LPs find_post_processing builds.
+
 find_post_processing calls it only when the source effects are linearly
 dependent (n_a > r = dim span), or when its direct solve fails the replay
 check; the LP then has n_a·n_b variables × (n_b − 1)·r + n_a rows, for
@@ -55,38 +67,49 @@ def solve_nonnegative(
     T[m, :n] = -A.sum(axis=0)
     T[m, -1] = -b.sum()
     basis = np.arange(n, n + m)
+    cost = T[m, :n]  # views: the update below writes T in place
+    rhs = T[:m, -1]
 
     for _ in range(max_iter):
         if -T[m, -1] <= feas_tol:
             break  # already within tolerance; pivoting on leftover dust
             # would divide rounding noise by near-zero pivot elements
-        negative = np.flatnonzero(T[m, :n] < -_PIVOT_TOL)
-        if negative.size == 0:
-            break
-        enter = negative[np.argmin(T[m, negative])]
+        if n == 0:
+            break  # no column can enter, and argmin of an empty row raises
+        enter = cost.argmin()
+        if not cost[enter] < -_PIVOT_TOL:
+            # no negative reduced cost, or argmin stopped at the first NaN:
+            # search again among the negative entries, which skips NaNs
+            negative = np.flatnonzero(cost < -_PIVOT_TOL)
+            if negative.size == 0:
+                break
+            enter = negative[cost[negative].argmin()]
 
         col = T[:m, enter]
-        eligible = col > _PIVOT_TOL
-        if not eligible.any():
+        rows = np.flatnonzero(col > _PIVOT_TOL)
+        if rows.size == 0:
             raise SolverError("phase-1 simplex became unbounded")
         # basic values are nonnegative up to rounding; clamp so that dust
         # like -1e-17 cannot win the ratio test with a negative ratio
-        rhs_col = np.clip(T[:m, -1], 0.0, None)
-        ratios = np.where(eligible, rhs_col / np.where(eligible, col, 1.0), np.inf)
+        ratios = np.maximum(rhs[rows], 0.0) / col[rows]
         best = ratios.min()
         # among near-minimum-ratio rows pivot on the largest column entry;
         # the slack groups rounding-level ties (float64 noise, so not a
         # Tolerance), the size rule keeps the update stable, the index
         # rule (smallest basis index) keeps the choice deterministic
         slack = best + 1e-13 * (1.0 + best)
-        rows = np.flatnonzero(eligible & (ratios <= slack))
-        leave = rows[np.lexsort((basis[rows], -col[rows]))[0]]
+        near = np.flatnonzero(ratios <= slack)
+        if near.size == 1:
+            leave = rows[near[0]]
+        else:
+            near = rows[near]
+            leave = near[np.lexsort((basis[near], -col[near]))[0]]
 
-        piv = T[leave, enter]
-        T[leave] /= piv
+        row = T[leave]
+        row /= row[enter]
         other = T[:, enter].copy()
         other[leave] = 0.0
-        T -= np.outer(other, T[leave])
+        T -= other[:, None] * row
         basis[leave] = enter
     else:
         raise SolverError("phase-1 simplex iteration limit exceeded")

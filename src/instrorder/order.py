@@ -52,6 +52,7 @@ from .instrument import (
     identity_instrument,
     induced_povm,
     routed,
+    scale_operation,
     trash_and_prepare,
 )
 from .linalg import DEFAULT_TOL, Tolerance, frob_dist, range_projector
@@ -274,13 +275,18 @@ def witness_map_post_processing(I: Instrument, J: Instrument, tol: Tolerance = D
     mu = find_post_processing(induced_povm(I), induced_povm(J), tol)
     if mu is None:
         return None
-    processors = {}
-    for xi, x in enumerate(I.labels):
-        processors[x] = trash_and_prepare(
-            mu.entries[xi], cert_j.states, dim_in=I.dim_out, labels=J.labels
+    # J's states are diagonalized once; the processor at x weights the
+    # prepared operations by row x of μ (a zero weight gives the zero operation)
+    prepare = trash_and_prepare(np.ones(len(J)), cert_j.states, dim_in=I.dim_out, labels=J.labels)
+    processors = {
+        x: Instrument(
+            prepare.dim_in,
+            prepare.dim_out,
+            [(y, scale_operation(op, m)) for (y, op), m in zip(prepare.outcomes, row)],
         )
-    w = _checked(I, processors, J, tol)
-    return w
+        for x, row in zip(I.labels, mu.entries)
+    }
+    return _checked(I, processors, J, tol)
 
 
 def check_povm_necessary_condition(I: Instrument, J: Instrument, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -11,6 +11,7 @@ one linear solve decides; otherwise the phase-1 simplex does.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -170,6 +171,14 @@ def max_effect_distance(A: Povm, B: Povm) -> float:
     return float(np.max(dists, initial=0.0))
 
 
+@cache
+def _upper_triangle(d: int):
+    """np.triu_indices(d, 1), read-only: built once per dimension."""
+    rows, cols = np.triu_indices(d, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _vec_hermitian(M: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix, or of each matrix in a stack
     (along the last axis): diagonal, then Re/Im above it.
@@ -177,7 +186,7 @@ def _vec_hermitian(M: np.ndarray) -> np.ndarray:
     The off-diagonal parts carry a factor √2, so the Euclidean norm of the
     coordinates is the Frobenius norm of M.
     """
-    rows, cols = np.triu_indices(M.shape[-1], 1)
+    rows, cols = _upper_triangle(M.shape[-1])
     off = np.sqrt(2.0) * M[..., rows, cols]
     diag = np.diagonal(M, axis1=-2, axis2=-1).real
     return np.concatenate([diag, off.real, off.imag], axis=-1)

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from instrorder import Povm, apply_post_processing, povm, random_povm
 from instrorder.errors import SolverError
 from instrorder.feasibility import solve_nonnegative
 from instrorder.randgen import _gaussians, _uniforms
+
+from helpers import random_stochastic
 
 
 def _oracle_feasible(A, b):
@@ -196,3 +199,81 @@ def test_matches_full_tableau_bitwise():
     # a run of 41 degenerate pivots before the path reaches a vertex
     A, b = _degenerate_system(64)
     assert solve_nonnegative(A, b).tobytes() == _full_tableau_solve(A, b).tobytes()
+
+
+@pytest.mark.parametrize(
+    "A, b, expected",
+    [
+        (np.zeros((2, 0)), np.zeros(2), np.zeros(0)),  # n = 0, b = 0: the empty x
+        (np.zeros((2, 0)), np.array([1.0, 0.0]), None),  # n = 0, b ≠ 0: infeasible
+        (np.zeros((0, 3)), np.zeros(0), np.zeros(3)),  # m = 0: nothing to satisfy
+        (np.zeros((0, 0)), np.zeros(0), np.zeros(0)),
+    ],
+    ids=["no-columns", "no-columns-infeasible", "no-rows", "empty"],
+)
+def test_edge_shapes(A, b, expected):
+    x = solve_nonnegative(A, b)
+    ref = _full_tableau_solve(A, b)
+    if expected is None:
+        assert x is None and ref is None
+    else:
+        assert x.shape == expected.shape and x.dtype == np.float64
+        assert x.tobytes() == expected.tobytes() == ref.tobytes()
+
+
+def _systems_of(A, B, monkeypatch):
+    # the (M, rhs, feas_tol) that find_post_processing hands to the solver
+    systems = []
+
+    def record(M, rhs, feas_tol):
+        systems.append((M.copy(), rhs.copy(), feas_tol))
+        return solve_nonnegative(M, rhs, feas_tol)
+
+    monkeypatch.setattr(povm, "solve_nonnegative", record)
+    return povm.find_post_processing(A, B), systems
+
+
+def _library_lps():
+    cases = []
+    for d, n_a, n_b, seed in ((2, 16, 8, 11), (3, 12, 8, 12)):  # n_a > d²: dependent effects
+        A = random_povm(n_a, d, seed)
+        nu = random_stochastic(A.labels, [str(y) for y in range(n_b)], seed + 1)
+        cases.append(pytest.param(A, apply_post_processing(A, nu), True, id=f"d={d}-{n_a}-{n_b}-yes"))
+    # in the span but no coarse-graining: one entry of a stochastic ν pushed
+    # below zero by half of what keeps B(0) positive semidefinite
+    A = random_povm(8, 2, 12)
+    nu = random_stochastic(A.labels, ["0", "1", "2", "3"], 13).entries
+    rest = sum(nu[x, 0] * E for x, E in enumerate(A.effects) if x > 0)
+    room = np.linalg.eigvalsh(rest).min() / np.linalg.eigvalsh(A.effects[0]).max()
+    shift = nu[0, 0] + 0.5 * room
+    nu[0, 0] -= shift
+    nu[0, 1] += shift
+    effects = np.einsum("xy,xij->yij", nu, np.array(A.effects))
+    assert min(np.linalg.eigvalsh(E).min() for E in effects) >= 0.0
+    B = Povm(2, [(str(y), E) for y, E in enumerate(effects)])
+    cases.append(pytest.param(A, B, False, id="d=2-8-4-in-span-no"))
+    return cases
+
+
+@pytest.mark.parametrize("A, B, reachable", _library_lps())
+def test_matches_full_tableau_on_the_library_lps(A, B, reachable, monkeypatch):
+    nu, systems = _systems_of(A, B, monkeypatch)
+    assert (nu is not None) == reachable
+    assert len(systems) == 1
+    M, rhs, feas_tol = systems[0]
+    x = solve_nonnegative(M, rhs, feas_tol)
+    ref = _full_tableau_solve(M, rhs, feas_tol)
+    assert (x is None) == (ref is None) == (not reachable) == (not _oracle_feasible(M, rhs))
+    if reachable:
+        assert x.tobytes() == ref.tobytes()
+    # a looser feas_tol stops the search at an earlier basis, so the x read
+    # there pins a prefix of the pivot path, "no" systems included
+    stops = 0
+    for loose in np.geomspace(0.5 * rhs.sum(), 1e-6, 12):
+        x = solve_nonnegative(M, rhs, loose)
+        ref = _full_tableau_solve(M, rhs, loose)
+        assert (x is None) == (ref is None)
+        if ref is not None:
+            stops += 1
+            assert x.tobytes() == ref.tobytes()
+    assert stops >= 4

@@ -7,6 +7,7 @@ from instrorder import (
     Instrument,
     NotIndecomposable,
     NotMeasureAndPrepare,
+    Povm,
     PreconditionViolated,
     QuantumOperation,
     SolverError,
@@ -14,10 +15,13 @@ from instrorder import (
     choi_distance,
     compose_post_processing,
     detailed_instrument,
+    find_post_processing,
     identity_class_certificate,
     identity_instrument,
+    induced_povm,
     instrument_distance,
     is_indecomposable_instrument,
+    is_measure_and_prepare,
     is_trash_and_prepare,
     luders,
     luders_refinement_witness,
@@ -324,6 +328,40 @@ def test_map_witness_to_trivial_target():
     w = witness_map_post_processing(M, T)
     assert w is not None
     assert witness_error(M, w) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "d, n_a, n_b, seed, kind",
+    [(4, 8, 4, 90, "coarse"), (3, 5, 2, 91, "relabel"), (2, 6, 3, 92, "coarse")],
+)
+def test_map_witness_processors_weight_one_prepare_instrument(d, n_a, n_b, seed, kind):
+    # each processor is J's prepare instrument with its operations weighted
+    # by row x of μ; it must be the processor trash_and_prepare(μ_x, …) builds
+    A = random_povm(n_a, d, seed)
+    if kind == "relabel":  # a deterministic μ: zero weights in every row
+        B = relabel(A, lambda label: int(label) % n_b)
+    else:
+        nu = np.array([random_distribution(n_b, seed=seed + 1 + x) for x in range(n_a)])
+        B = Povm(d, [(str(y), E) for y, E in enumerate(np.einsum("xy,xij->yij", nu, np.array(A.effects)))])
+    I = measure_and_prepare(A, [random_state(d, seed + 20 + x) for x in range(n_a)])
+    J = measure_and_prepare(B, [random_state(d, seed + 40 + y) for y in range(n_b)])
+    w = witness_map_post_processing(I, J)
+    assert w is not None
+    assert witness_error(I, w) <= DEFAULT_TOL.eq_abs
+    mu = find_post_processing(induced_povm(I), induced_povm(J))
+    states = is_measure_and_prepare(J).states
+    zeros = 0
+    for x, row in zip(I.labels, mu.entries):
+        ref = trash_and_prepare(row, states, dim_in=I.dim_out, labels=J.labels)
+        assert w.processors[x].labels == ref.labels
+        for y, op in ref.outcomes:
+            got = w.processors[x].operation(y)
+            assert frob_dist(got.choi_matrix, op.choi_matrix) <= 1e-14
+            if row[J.labels.index(y)] == 0.0:
+                zeros += 1
+                assert not got.kraus.any()
+    if kind == "relabel":
+        assert zeros > 0
 
 
 def test_map_witness_rejects_inequivalent_povms():
