@@ -42,7 +42,6 @@ from .instrument import (
     induced_povm,
     instrument_distance,
     luders,
-    luders_refinement_witness,
     measure_and_prepare,
     minimal_kraus,
     mix,
@@ -60,6 +59,7 @@ from .order import (
     EquivalenceWitness,
     InstrumentWitness,
     check_povm_necessary_condition,
+    luders_refinement_witness,
     replay_witness,
     witness_detailed_to_original,
     witness_error,

@@ -24,7 +24,7 @@ from .instrument import (
     partial_trace_output,
 )
 from .linalg import DEFAULT_TOL, Tolerance, frob_dist, hermitize, numerical_rank
-from .povm import Povm
+from .povm import Povm, is_trivial
 
 
 @dataclass(eq=False)
@@ -55,25 +55,13 @@ def is_indecomposable_instrument(I: Instrument, tol: Tolerance = DEFAULT_TOL) ->
 
 
 def is_trash_and_prepare(I: Instrument, tol: Tolerance = DEFAULT_TOL):
-    """If I_x(rho) = tr[rho] p_x xi_x for all x, return (p, states), else None."""
-    d_in, d_out = I.dim_in, I.dim_out
-    p = np.empty(len(I))
-    states = []
-    for i, (_, op) in enumerate(I.outcomes):
-        C = op.choi_matrix
-        block = partial_trace_input(C, d_in, d_out) / d_in
-        weight = np.trace(block).real
-        if weight <= tol.eq_abs:
-            if frob_dist(C, np.zeros_like(C)) > tol.eq_abs:
-                return None
-            p[i] = max(weight, 0.0)
-            states.append(ground_state(d_out))
-            continue
-        if frob_dist(C, np.kron(np.eye(d_in), block)) > tol.eq_abs:
-            return None
-        p[i] = weight
-        states.append(State(d_out, hermitize(block) / weight))
-    return p, states
+    """If I_x(rho) = tr[rho] p_x xi_x for all x, return (p, states), else None:
+    I is measure-and-prepare with a trivial POVM, whose weights are p."""
+    cert = is_measure_and_prepare(I, tol)
+    if cert is None:
+        return None
+    p = is_trivial(cert.povm, tol)
+    return None if p is None else (p, cert.states)
 
 
 def is_measure_and_prepare(I: Instrument, tol: Tolerance = DEFAULT_TOL):
@@ -82,16 +70,13 @@ def is_measure_and_prepare(I: Instrument, tol: Tolerance = DEFAULT_TOL):
     effects = []
     states = []
     for label, op in I.outcomes:
-        C = op.choi_matrix
-        E_t = partial_trace_output(C, d_in, d_out)
-        weight = np.trace(E_t).real
-        if weight <= tol.eq_abs:
-            if frob_dist(C, np.zeros_like(C)) > tol.eq_abs:
-                return None
+        if is_zero_operation(op, tol):
             effects.append((label, np.zeros((d_in, d_in), dtype=complex)))
             states.append(ground_state(d_out))
             continue
-        xi = hermitize(partial_trace_input(C, d_in, d_out)) / weight
+        C = op.choi_matrix
+        E_t = partial_trace_output(C, d_in, d_out)
+        xi = hermitize(partial_trace_input(C, d_in, d_out)) / np.trace(E_t).real
         if frob_dist(C, np.kron(E_t, xi)) > tol.eq_abs:
             return None
         effects.append((label, hermitize(E_t).T))

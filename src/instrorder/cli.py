@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (or true), 1 validation failure (or false), 2 usage or
 parse error, 3 question undecidable by the implemented methods, 4 internal
-solver failure (no answer was reached, so neither "yes" nor "no").  Reports are
-JSON with --json and short human-readable lines otherwise; object-producing
-commands write a document with --output.
+failure: a solver error or any other unexpected exception (no answer was
+reached, so neither "yes" nor "no").  Reports are JSON with --json and short
+human-readable lines otherwise; object-producing commands write a document
+with --output.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -357,6 +359,10 @@ def main(argv=None) -> int:
     except (InstrOrderError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of the program must never read as "no"
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -43,7 +43,7 @@ from .linalg import (
     is_hermitian,
     psd_sqrt,
 )
-from .povm import _STOCH_TOL, Povm, ValidationReport, first_index, trivial_povm
+from .povm import _STOCH_TOL, Povm, ValidationReport, _label_images, first_index, trivial_povm
 
 
 @dataclass(eq=False)
@@ -237,6 +237,12 @@ def routed(op: QuantumOperation, labels, label) -> Instrument:
     """Instrument with op at label and the zero operation at every other label."""
     zero = zero_operation(op.dim_in, op.dim_out)
     return Instrument(op.dim_in, op.dim_out, [(l, op if l == label else zero) for l in labels])
+
+
+def _forwarding(dim, labels, label) -> Instrument:
+    """Processor that passes the state on unchanged to label: the identity
+    channel on dim, routed there."""
+    return routed(QuantumOperation(dim, dim, [np.eye(dim)]), labels, label)
 
 
 def complete_channel(ks, dim_in, dim_out) -> list:
@@ -435,6 +441,8 @@ def compose_post_processing(I: Instrument, processors) -> Instrument:
     space to a common target space; all processors must share one outcome
     label sequence, which becomes the composed instrument's.
     """
+    if not len(I):
+        raise OutcomeSetMismatch("instrument has no outcome to post-process")
     if set(processors) != set(I.labels):
         raise OutcomeSetMismatch("processors must be keyed exactly by the instrument's labels")
     ref = processors[I.labels[0]]
@@ -462,24 +470,11 @@ def compose_post_processing(I: Instrument, processors) -> Instrument:
 
 
 def relabel_instrument(I: Instrument, f) -> Instrument:
-    """Merge outcomes along the label map f, pooling Kraus matrices."""
-    mapper = f.__getitem__ if isinstance(f, dict) else f
-    order = []
-    merged = {}
-    for label, op in I.outcomes:
-        try:
-            target = str(mapper(label))
-        except KeyError:
-            raise LabelMismatch(f"label map not defined on {label!r}") from None
-        if target not in merged:
-            merged[target] = []
-            order.append(target)
-        merged[target].extend(op.kraus)
-    return Instrument(
-        I.dim_in,
-        I.dim_out,
-        [(t, QuantumOperation(I.dim_in, I.dim_out, merged[t])) for t in order],
-    )
+    """Merge outcomes along the label map f (a dict or callable on labels):
+    the post-processing that forwards the state at x unchanged to f(x)."""
+    images, targets = _label_images(I.labels, f)
+    processors = {x: _forwarding(I.dim_out, targets, y) for x, y in zip(I.labels, images)}
+    return compose_post_processing(I, processors)
 
 
 def scale_operation(op: QuantumOperation, s: float) -> QuantumOperation:
@@ -502,59 +497,23 @@ def check_weights(p, components) -> np.ndarray:
     return p
 
 
-def _mixable(instruments, p):
-    """Checked weights and the first instrument, after checking that all
-    instruments share its input and output spaces."""
-    p = check_weights(p, instruments)
-    first = instruments[0]
-    for J in instruments:
-        if (J.dim_in, J.dim_out) != (first.dim_in, first.dim_out):
-            raise DimensionMismatch("mixed instruments must share input and output spaces")
-    return p, first
-
-
 def mix(instruments, p) -> Instrument:
-    """Convex mixture Σ_i p_i I^i on the union of the outcome label sets."""
-    p, first = _mixable(instruments, p)
-    labels = []
-    for J in instruments:
-        for l in J.labels:
-            if l not in labels:
-                labels.append(l)
-    outcomes = []
-    for l in labels:
-        ks = [
-            K
-            for w, J in zip(p, instruments)
-            if w > 0.0 and l in J.labels
-            for K in np.sqrt(w) * J.operation(l).kraus
-        ]
-        outcomes.append((l, QuantumOperation(first.dim_in, first.dim_out, ks)))
-    return Instrument(first.dim_in, first.dim_out, outcomes)
+    """Convex mixture Σ_i p_i I^i on the union of the outcome label sets:
+    the tracked mixture with the component index forgotten."""
+    merge = {pair_label(i, x): x for i, J in enumerate(instruments, start=1) for x in J.labels}
+    return relabel_instrument(tracked_mix(instruments, p), merge)
 
 
 def tracked_mix(instruments, p) -> Instrument:
     """Mixture that remembers which instrument fired: outcome (i,x) carries
     p_i times instrument i's operation at x, with i starting at 1."""
-    p, first = _mixable(instruments, p)
+    p = check_weights(p, instruments)
+    first = instruments[0]
+    for J in instruments:
+        if (J.dim_in, J.dim_out) != (first.dim_in, first.dim_out):
+            raise DimensionMismatch("mixed instruments must share input and output spaces")
     outcomes = []
     for i, (w, J) in enumerate(zip(p, instruments), start=1):
         for label, op in J.outcomes:
             outcomes.append((pair_label(i, label), scale_operation(op, float(w))))
     return Instrument(first.dim_in, first.dim_out, outcomes)
-
-
-def luders_refinement_witness(I: Instrument, tol: Tolerance = DEFAULT_TOL):
-    """Channels Φ^(x) recovering I from the Lüders instrument of its induced
-    POVM: I_x = Φ^(x) ∘ (Lüders of A at x).
-
-    Φ^(x) is the _pull_back of I, with weight one at x alone, through the
-    Lüders Kraus matrix √A(x).  Its completion acts on the kernel of A(x),
-    which the Lüders output at x never reaches, so composing with the
-    Lüders instrument reproduces I outcome by outcome.
-    """
-    onehot = np.eye(len(I))
-    return {
-        label: _pull_back(psd_sqrt(op.effect), I, onehot[i], tol)
-        for i, (label, op) in enumerate(I.outcomes)
-    }

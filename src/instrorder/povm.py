@@ -279,21 +279,28 @@ def _replayed(A: Povm, B: Povm, entries: np.ndarray, tol: Tolerance):
     return nu
 
 
-def relabel(A: Povm, f) -> Povm:
-    """Merge outcomes along the label map f (a dict or callable on labels)."""
+def _label_images(labels, f):
+    """The label map f (a dict or callable on labels) applied to each label,
+    as a str, and the distinct images in order of first appearance.  Raises
+    LabelMismatch on a label where f is not defined."""
     mapper = f.__getitem__ if isinstance(f, dict) else f
-    order = []
-    merged = {}
-    for label, E in A.outcomes:
+    images = []
+    for label in labels:
         try:
-            target = str(mapper(label))
+            images.append(str(mapper(label)))
         except KeyError:
             raise LabelMismatch(f"label map not defined on {label!r}") from None
-        if target not in merged:
-            merged[target] = np.zeros((A.dim, A.dim), dtype=complex)
-            order.append(target)
-        merged[target] = merged[target] + E
-    return Povm(A.dim, [(t, merged[t]) for t in order])
+    return images, list(dict.fromkeys(images))
+
+
+def relabel(A: Povm, f) -> Povm:
+    """Merge outcomes along the label map f (a dict or callable on labels):
+    the post-processing by the 0/1 matrix sending x to f(x)."""
+    images, targets = _label_images(A.labels, f)
+    col = first_index(targets)
+    entries = np.zeros((len(A), len(targets)))
+    entries[np.arange(len(A)), [col[t] for t in images]] = 1.0
+    return apply_post_processing(A, StochasticMatrix(A.labels, targets, entries))
 
 
 def is_trivial(A: Povm, tol: Tolerance = DEFAULT_TOL):

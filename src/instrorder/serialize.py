@@ -416,9 +416,14 @@ def decode(obj) -> Document:
     for key in ("kind", "version"):
         if key not in obj:
             raise ParseError(f"document: missing field '{key}'")
-    if obj["version"] != VERSION:
-        raise ParseError(f"document.version: unsupported version {obj['version']!r}")
-    kind = obj["kind"]
+    kind, version = obj["kind"], obj["version"]
+    # bool is an int subclass, and 1.0 == 1: both would pass for version 1
+    if isinstance(version, bool) or not isinstance(version, int):
+        raise ParseError(f"document.version: expected an integer, got {version!r}")
+    if version != VERSION:
+        raise ParseError(f"document.version: unsupported version {version!r}")
+    if not isinstance(kind, str):
+        raise ParseError(f"document.kind: expected a string, got {kind!r}")
     if kind not in _FORMATS:
         raise ParseError(f"document.kind: unknown kind {kind!r}")
     rest = {k: v for k, v in obj.items() if k not in ("kind", "version")}

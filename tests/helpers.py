@@ -3,6 +3,7 @@ import numpy as np
 
 from instrorder import (
     Instrument,
+    LabelMismatch,
     OutcomeSetMismatch,
     Povm,
     QuantumOperation,
@@ -17,7 +18,8 @@ from instrorder import (
     zero_operation,
 )
 from instrorder.feasibility import solve_nonnegative
-from instrorder.linalg import DEFAULT_TOL, hermitize
+from instrorder.instrument import check_weights, ground_state, partial_trace_input
+from instrorder.linalg import DEFAULT_TOL, frob_dist, hermitize
 from instrorder.povm import _vec_hermitian, apply_post_processing, max_effect_distance
 
 
@@ -198,3 +200,76 @@ def find_post_processing_lp(A: Povm, B: Povm, tol=DEFAULT_TOL):
     if max_effect_distance(apply_post_processing(A, nu), B) > tol.eq_abs:
         return None
     return nu
+
+
+def _pooled_images(labels, f):
+    mapper = f.__getitem__ if isinstance(f, dict) else f
+    for label in labels:
+        try:
+            yield label, str(mapper(label))
+        except KeyError:
+            raise LabelMismatch(f"label map not defined on {label!r}") from None
+
+
+def relabel_pooled(A: Povm, f) -> Povm:
+    """relabel as it was before it went through apply_post_processing: the
+    effects of each target summed in source order; used as the reference."""
+    merged = {}
+    for (_, E), (_, target) in zip(A.outcomes, _pooled_images(A.labels, f)):
+        merged[target] = merged.get(target, np.zeros((A.dim, A.dim), dtype=complex)) + E
+    return Povm(A.dim, merged.items())
+
+
+def relabel_instrument_pooled(I: Instrument, f) -> Instrument:
+    """relabel_instrument as it was before it went through
+    compose_post_processing: the Kraus matrices of each target pooled in
+    source order; used as the reference."""
+    merged = {}
+    for (_, op), (_, target) in zip(I.outcomes, _pooled_images(I.labels, f)):
+        merged.setdefault(target, []).extend(op.kraus)
+    outcomes = [(t, QuantumOperation(I.dim_in, I.dim_out, ks)) for t, ks in merged.items()]
+    return Instrument(I.dim_in, I.dim_out, outcomes)
+
+
+def mix_pooled(instruments, p) -> Instrument:
+    """mix as it was before it relabeled the tracked mixture: on the union
+    of the label sets, in order of first appearance, the Kraus matrices
+    √p_i K of every component with p_i > 0 that has the label; used as the
+    reference."""
+    p = check_weights(p, instruments)
+    first = instruments[0]
+    labels = list(dict.fromkeys(l for J in instruments for l in J.labels))
+    outcomes = []
+    for l in labels:
+        ks = [
+            K
+            for w, J in zip(p, instruments)
+            if w > 0.0 and l in J.labels
+            for K in np.sqrt(w) * J.operation(l).kraus
+        ]
+        outcomes.append((l, QuantumOperation(first.dim_in, first.dim_out, ks)))
+    return Instrument(first.dim_in, first.dim_out, outcomes)
+
+
+def trash_and_prepare_choi(I: Instrument, tol=DEFAULT_TOL):
+    """is_trash_and_prepare as it was before it read the measure-and-prepare
+    certificate: each Choi matrix compared with I ⊗ (its output block);
+    used as the reference."""
+    d_in, d_out = I.dim_in, I.dim_out
+    p = np.empty(len(I))
+    states = []
+    for i, (_, op) in enumerate(I.outcomes):
+        C = op.choi_matrix
+        block = partial_trace_input(C, d_in, d_out) / d_in
+        weight = np.trace(block).real
+        if weight <= tol.eq_abs:
+            if frob_dist(C, np.zeros_like(C)) > tol.eq_abs:
+                return None
+            p[i] = max(weight, 0.0)
+            states.append(ground_state(d_out).matrix)
+            continue
+        if frob_dist(C, np.kron(np.eye(d_in), block)) > tol.eq_abs:
+            return None
+        p[i] = weight
+        states.append(hermitize(block) / weight)
+    return p, states

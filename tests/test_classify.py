@@ -21,6 +21,7 @@ from instrorder import (
     measure_and_prepare,
     pair_label,
     random_distribution,
+    random_instrument,
     random_isometry,
     random_povm,
     random_rank1_povm,
@@ -30,9 +31,14 @@ from instrorder import (
     validate_instrument,
     zero_operation,
 )
-from instrorder.linalg import frob_dist
+from instrorder.linalg import DEFAULT_TOL, frob_dist
 
-from helpers import basis_pvm, projective_povm, random_identity_class_instrument
+from helpers import (
+    basis_pvm,
+    projective_povm,
+    random_identity_class_instrument,
+    trash_and_prepare_choi,
+)
 
 from test_instrument import depolarizing_channel
 
@@ -260,3 +266,45 @@ def test_certificate_error_propagates_nan():
     (w, V), = cert.branches["0"]
     cert.branches["0"] = [(w, V * np.nan)]
     assert np.isnan(certificate_error(J, cert))
+
+
+def _perturbed_trash_and_prepare():
+    # trash-and-prepare instruments with Kraus matrices of size f·√eq_abs
+    # added, whose Choi matrices move by about f²·eq_abs: near the boundary
+    # of both classes
+    for s in range(150):
+        d_in, d_out, n = 2 + s % 3, 1 + s % 4, 2 + s % 3
+        p = random_distribution(n, s)
+        T = trash_and_prepare(p, [random_state(d_out, 10 * s + i) for i in range(n)], d_in)
+        R = random_instrument(n, d_in, d_out, 1, s + 1000)
+        for f in (0.7, 0.8, 0.9, 1.0, 1.1):
+            c = f * np.sqrt(DEFAULT_TOL.eq_abs)
+            yield Instrument(d_in, d_out, [
+                (x, QuantumOperation(d_in, d_out, np.concatenate([op.kraus, c * R.operation(x).kraus])))
+                for x, op in T.outcomes
+            ])
+
+
+def test_trash_and_prepare_implies_measure_and_prepare_near_the_boundary():
+    answers = [
+        (is_trash_and_prepare(I) is not None, is_measure_and_prepare(I) is not None)
+        for I in _perturbed_trash_and_prepare()
+    ]
+    assert len(answers) == 750
+    assert all(mp for tp, mp in answers if tp)
+    assert any(not tp for tp, mp in answers)  # the perturbation reaches the boundary
+
+
+def test_trash_and_prepare_certificate_matches_choi_reference():
+    for s in range(60):
+        d_in, d_out, n = 1 + s % 4, 1 + s % 3, 2 + s % 4
+        p = random_distribution(n, s)
+        if s % 3 == 0:
+            p[0] = 0.0  # a zero operation gets the ground state
+            p /= p.sum()
+        T = trash_and_prepare(p, [random_state(d_out, 7 * s + i) for i in range(n)], d_in)
+        got, ref = is_trash_and_prepare(T), trash_and_prepare_choi(T)
+        assert got is not None and ref is not None
+        assert np.abs(got[0] - ref[0]).max() <= 1e-15
+        for state, ref_state in zip(got[1], ref[1]):
+            assert np.abs(state.matrix - ref_state).max() <= 1e-15

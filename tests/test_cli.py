@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from instrorder import (
     Instrument,
@@ -458,3 +462,90 @@ def test_back_to_back_main_calls_share_no_state(tmp_path, capsys):
     assert unseeded_again == unseeded != seeded
     assert main(["random", "state", "--dim", "2", "--seed", "0", "--json"]) == 0
     assert capsys.readouterr().out == unseeded
+
+
+_HEADER_MUTATIONS = [
+    ("kind", ["povm"], "document.kind: expected a string"),
+    ("kind", {"povm": 1}, "document.kind: expected a string"),
+    ("kind", None, "document.kind: expected a string"),
+    ("kind", 3, "document.kind: expected a string"),
+    ("version", True, "document.version: expected an integer"),
+    ("version", 1.0, "document.version: expected an integer"),
+    ("version", "1", "document.version: expected an integer"),
+    ("version", [1], "document.version: expected an integer"),
+    ("version", None, "document.version: expected an integer"),
+]
+
+
+@pytest.mark.parametrize("field, value, message", _HEADER_MUTATIONS)
+@pytest.mark.parametrize(
+    "command, obj",
+    [
+        ("validate", random_povm(2, 2, 1)),
+        ("validate", random_state(2, 1)),
+        ("classify", random_instrument(2, 2, 2, 1, 1)),
+        ("equiv", luders(basis_pvm(2))),
+    ],
+    ids=["validate-povm", "validate-state", "classify", "equiv"],
+)
+def test_header_of_the_wrong_type_exits_2(tmp_path, capsys, command, obj, field, value, message):
+    doc = encode(document_for(obj))
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command, str(bad)] + ([_write(tmp_path, "ok.json", obj)] if command == "equiv" else [])
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc", [TypeError("unhashable type: 'list'"), KeyError("x"), ZeroDivisionError("boom")])
+def test_internal_fault_exits_4_not_1(tmp_path, capsys, monkeypatch, exc):
+    def fail(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "validate_povm", fail)
+    assert main(["validate", _write(tmp_path, "p.json", random_povm(2, 2, 1))]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")  # the fault is reported with where it happened
+    assert err.endswith(f"internal error: {type(exc).__name__}: {exc}\n")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-2, 2) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+_MUTABLE_DOCUMENTS = {
+    "povm": random_povm(2, 2, 1),
+    "instrument": luders(basis_pvm(2)),
+    "state": random_state(2, 1),
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(
+    kind=st.sampled_from(sorted(_MUTABLE_DOCUMENTS)),
+    command=st.sampled_from(["validate", "classify", "equiv", "induced-povm", "luders"]),
+    mutations=st.lists(st.tuples(st.integers(0, 9), st.none() | _JSON_VALUES), min_size=1, max_size=2),
+)
+def test_mutated_top_level_fields_never_end_in_an_internal_error(
+    tmp_path_factory, kind, command, mutations
+):
+    # each mutation replaces one top-level field by a JSON value, or drops it
+    # (None); the answer is a parse error, a report or a decision, never a fault
+    good = _MUTABLE_DOCUMENTS[kind]
+    doc = encode(document_for(good))
+    for index, value in mutations:
+        field = sorted(doc)[index % len(doc)] if doc else "kind"
+        if value is None:
+            doc.pop(field, None)
+        else:
+            doc[field] = value
+    folder = tmp_path_factory.mktemp("mutated")
+    bad = folder / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command, str(bad)] + ([_write(folder, "ok.json", good)] if command == "equiv" else [])
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()

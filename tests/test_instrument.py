@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from instrorder import (
     DimensionMismatch,
     Instrument,
+    LabelMismatch,
     OutcomeSetMismatch,
     QuantumOperation,
     State,
@@ -52,7 +53,7 @@ from instrorder.instrument import (
 )
 from instrorder.linalg import Tolerance, frob, frob_dist, hermitize, numerical_rank
 
-from helpers import basis_pvm, minimal_kraus_eigh
+from helpers import basis_pvm, minimal_kraus_eigh, mix_pooled, relabel_instrument_pooled
 
 PAULI = [
     np.eye(2, dtype=complex),
@@ -687,3 +688,65 @@ def test_choi_gap_of_a_non_finite_operation_is_nan(bad, dim):
     b = QuantumOperation(dim, dim, [K])
     with np.errstate(invalid="ignore"):
         assert np.isnan(_choi_gap(a, b)) and np.isnan(_choi_gap(b, a))
+
+
+def assert_same_bytes(I, J):
+    assert (I.dim_in, I.dim_out, I.labels) == (J.dim_in, J.dim_out, J.labels)
+    for a, b in zip(I.operations, J.operations):
+        assert a.kraus.shape == b.kraus.shape
+        assert a.kraus.tobytes() == b.kraus.tobytes()
+
+
+def _label_maps(labels, seed):
+    m = 1 + seed % 3
+    return [
+        {x: str((len(labels) - i) % m) for i, x in enumerate(labels)},  # merges outcomes
+        lambda x: f"r{x}",  # a bijection
+        lambda x: "all",  # a constant map
+        {x: "low" if i < 2 else x for i, x in enumerate(labels)},
+    ]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_relabel_instrument_matches_pooling_reference_bytewise(seed):
+    n, d_in, d_out, k = 1 + seed % 5, 1 + seed % 3, 1 + seed % 4, 1 + seed % 2
+    I = random_instrument(n, d_in, max(d_in, d_out), k, seed)
+    # a zero weight gives zero operations, which pool to nothing
+    T = tracked_mix([I, I], [0.0, 1.0] if seed % 2 else [0.25, 0.75])
+    for J in (I, T):
+        for f in _label_maps(J.labels, seed):
+            assert_same_bytes(relabel_instrument(J, f), relabel_instrument_pooled(J, f))
+
+
+def test_relabel_instrument_requires_total_map_as_reference_does():
+    I = random_instrument(3, 2, 2, 1, seed=3)
+    partial = {"0": "a", "1": "b"}
+    for build in (relabel_instrument, relabel_instrument_pooled):
+        with pytest.raises(LabelMismatch, match="not defined on '2'"):
+            build(I, partial)
+    with pytest.raises(LabelMismatch):
+        relabel_instrument(I, lambda x: {"0": "a"}[x])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_mix_matches_pooling_reference_bytewise(seed):
+    n, d, k = 1 + seed % 4, 1 + seed % 3, 1 + seed % 3
+    parts = [random_instrument(n + i % 2, d, d, k, seed + 10 * i) for i in range(1 + seed % 4)]
+    # components that lack labels of the others, or share none with them
+    if len(parts) > 1:
+        parts[1] = relabel_instrument(parts[1], lambda x: f"b{x}" if seed % 3 or x != "0" else x)
+    p = random_distribution(len(parts), seed)
+    if len(parts) > 1 and seed % 2:
+        p[seed % len(parts)] = 0.0
+        p /= p.sum()
+    assert_same_bytes(mix(parts, p), mix_pooled(parts, p))
+
+
+def test_post_processing_an_instrument_without_outcomes_raises():
+    empty = Instrument(2, 2, [])
+    with pytest.raises(OutcomeSetMismatch, match="no outcome"):
+        compose_post_processing(empty, {})
+    with pytest.raises(OutcomeSetMismatch, match="no outcome"):
+        relabel_instrument(empty, {})
+    with pytest.raises(OutcomeSetMismatch, match="no outcome"):
+        mix([empty, empty], [0.5, 0.5])

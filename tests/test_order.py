@@ -454,3 +454,31 @@ def test_identity_reversal_rejects_nan_certificate():
     cert.branches["0"] = [(w, V * np.nan)]
     with pytest.raises(CertificateMismatch):
         witness_identity_reversal(J, cert)
+
+
+def _small_eigenvalue_instrument(ev):
+    A = np.diag([0.5, ev, 0.3]).astype(complex)
+    V = random_unitary(3, 5)
+    return Instrument(3, 3, [
+        ("a", QuantumOperation(3, 3, [V @ np.sqrt(A)])),
+        ("b", QuantumOperation(3, 3, [np.sqrt(np.eye(3) - A)])),
+    ])
+
+
+def test_luders_refinement_witness_raises_when_luders_loses_a_direction():
+    # psd_sqrt zeroes eigenvalues below 1e-13 × max, so the Lüders Kraus
+    # matrix at "a" drops the 1e-14 direction and no processor can rebuild
+    # I there: the replay misses by 1.26e-7
+    with pytest.raises(SolverError, match="missed its target by 1.26"):
+        luders_refinement_witness(_small_eigenvalue_instrument(1e-14))
+
+
+@pytest.mark.parametrize("ev", [1e-12, 1e-10, 1e-6])
+def test_luders_refinement_processors_are_instruments(ev):
+    # the pseudo-inverse of √A(x) is taken from the SVD of I's Kraus
+    # matrices: from the Lüders eigendecomposition the processor at "a"
+    # would miss trace preservation by 6e-5 at ev = 1e-12
+    I = _small_eigenvalue_instrument(ev)
+    phi = luders_refinement_witness(I)
+    assert all(validate_instrument(R).ok for R in phi.values())
+    assert instrument_distance(compose_post_processing(luders(induced_povm(I)), phi), I) < 1e-9

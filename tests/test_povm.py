@@ -25,7 +25,7 @@ import instrorder.povm
 from instrorder.linalg import DEFAULT_TOL, frob_dist
 from instrorder.povm import _vec_hermitian
 
-from helpers import basis_pvm, find_post_processing_lp, random_stochastic
+from helpers import basis_pvm, find_post_processing_lp, random_stochastic, relabel_pooled
 
 
 def test_validate_accepts_basis_pvm():
@@ -337,6 +337,28 @@ def test_relabel_matches_delta_post_processing():
 def test_relabel_requires_total_map():
     with pytest.raises(LabelMismatch):
         relabel(random_povm(2, 2, 0), {"0": "a"})
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_relabel_matches_pooling_reference(seed):
+    # only the summation order differs: tensordot against 0/1 rows
+    n, d, m = 2 + seed % 9, 1 + seed % 4, 1 + seed % 3
+    A = random_povm(n, d, seed)
+    maps = [
+        lambda x: int(x) % m,
+        {x: str((n - i) % m) for i, x in enumerate(A.labels)},
+        lambda x: "all",
+        {x: f"r{x}" for x in A.labels},
+    ]
+    for f in maps:
+        B, ref = relabel(A, f), relabel_pooled(A, f)
+        assert B.labels == ref.labels
+        assert max_effect_distance(B, ref) <= 1e-15
+
+
+def test_relabel_without_outcomes_is_empty():
+    B = relabel(Povm(2, []), {})
+    assert B.labels == [] and B.effects.shape == (0, 2, 2)
 
 
 def test_is_trivial_examples():

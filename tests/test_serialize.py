@@ -878,3 +878,15 @@ def test_finite_doubles_survive_save_and_load_bitwise(tmp_path_factory, values):
     save(state, path)
     assert _takes_the_lift(path)
     assert load(path).payload.matrix.tobytes() == state.matrix.tobytes()
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1", None, [1]])
+def test_rejects_version_that_is_not_an_integer(version):
+    with pytest.raises(ParseError, match="document.version: expected an integer"):
+        decode({"kind": "state", "version": version})
+
+
+@pytest.mark.parametrize("kind", [["state"], {"state": 1}, None, 1])
+def test_rejects_kind_that_is_not_a_string(kind):
+    with pytest.raises(ParseError, match="document.kind: expected a string"):
+        decode({"kind": kind, "version": 1})
