@@ -1,7 +1,8 @@
 """Command line surface.
 
 Exit codes: 0 success (or true), 1 validation failure (or false), 2 usage or
-parse error, 3 question undecidable by the implemented methods, 4 internal
+parse error (equiv also exits 2 on an input that fails validation, naming
+its violations), 3 question undecidable by the implemented methods, 4 internal
 failure: a solver error or any other unexpected exception (no answer was
 reached, so neither "yes" nor "no").  Reports are JSON with --json and short
 human-readable lines otherwise; object-producing commands write a document
@@ -24,9 +25,8 @@ from .classify import (
     is_extreme,
     is_indecomposable_instrument,
     is_measure_and_prepare,
-    is_trash_and_prepare,
 )
-from .errors import InstrOrderError, ParseError, SolverError
+from .errors import InstrOrderError, NotMeasureAndPrepare, ParseError, SolverError
 from .instrument import (
     compose_post_processing,
     detailed_instrument,
@@ -36,11 +36,8 @@ from .instrument import (
     validate_state,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .order import (
-    witness_indecomposable_equivalence,
-    witness_map_post_processing,
-)
-from .povm import povm_equivalent, validate_povm
+from .order import _map_witnesses, witness_indecomposable_equivalence
+from .povm import is_trivial, povm_equivalent, validate_povm
 from .randgen import random_instrument, random_povm, random_state
 from .serialize import Document, load, save
 from .simulate import is_isometric_channel, simulate
@@ -111,15 +108,18 @@ def _load_kind(path, kinds):
     return doc
 
 
+def _validate(doc: Document, tol: Tolerance):
+    if doc.kind == "povm":
+        return validate_povm(doc.payload, tol)
+    if doc.kind == "instrument":
+        return validate_instrument(doc.payload, tol)
+    return validate_state(doc.payload, tol)
+
+
 def cmd_validate(args) -> int:
     doc = _load_kind(args.file, ("povm", "instrument", "state"))
     tol = _tol(args)
-    if doc.kind == "povm":
-        report = validate_povm(doc.payload, tol)
-    elif doc.kind == "instrument":
-        report = validate_instrument(doc.payload, tol)
-    else:
-        report = validate_state(doc.payload, tol)
+    report = _validate(doc, tol)
     _finish_report(
         args,
         {
@@ -147,8 +147,10 @@ def cmd_classify(args) -> int:
     if not validity.ok:
         _finish_report(args, report)
         return 1
-    tp = is_trash_and_prepare(I, tol)
     mp = is_measure_and_prepare(I, tol)
+    # trash-and-prepare is measure-and-prepare with a trivial POVM
+    p = None if mp is None else is_trivial(mp.povm, tol)
+    tp = None if p is None else (p, mp.states)
     ic = identity_class_certificate(I, tol)
     report.update(
         {
@@ -213,7 +215,16 @@ def cmd_equiv(args) -> int:
     tol = _tol(args)
     da = load(args.a)
     db = load(args.b)
-    if {da.kind, db.kind} == {"povm"}:
+    if {da.kind, db.kind} not in ({"povm"}, {"instrument"}):
+        print("error: equiv needs two povm documents or two instrument documents", file=sys.stderr)
+        return 2
+    # an invalid document has no place in the order: a usage error, not a "no"
+    for path, doc in ((args.a, da), (args.b, db)):
+        validity = _validate(doc, tol)
+        if not validity.ok:
+            print(f"error: {path}: invalid {doc.kind}: {'; '.join(validity.violations)}", file=sys.stderr)
+            return 2
+    if da.kind == "povm":
         result = povm_equivalent(da.payload, db.payload, tol)
         equivalent = result is not None
         report = {
@@ -229,9 +240,6 @@ def cmd_equiv(args) -> int:
             report["stochastic_from_a"] = _enc_stochastic(mu)
         _finish_report(args, report)
         return 0 if equivalent else 1
-    if {da.kind, db.kind} != {"instrument"}:
-        print("error: equiv needs two povm documents or two instrument documents", file=sys.stderr)
-        return 2
     I, J = da.payload, db.payload
     report = {"command": "equiv", "tolerances": _tol_report(tol)}
     if is_indecomposable_instrument(I, tol) and is_indecomposable_instrument(J, tol):
@@ -246,29 +254,29 @@ def cmd_equiv(args) -> int:
         )
         _finish_report(args, report, w.forward if equivalent else None)
         return 0 if equivalent else 1
-    if is_measure_and_prepare(I, tol) is not None and is_measure_and_prepare(J, tol) is not None:
-        forward = witness_map_post_processing(I, J, tol)
-        backward = witness_map_post_processing(J, I, tol)
-        equivalent = forward is not None and backward is not None
+    try:  # both instruments are tested for measure-and-prepare first
+        forward, backward = _map_witnesses(I, J, tol)
+    except NotMeasureAndPrepare:
         report.update(
             {
-                "method": "measure_and_prepare",
-                "forward": forward is not None,
-                "backward": backward is not None,
-                "equivalent": equivalent,
-                "summary": "equivalent" if equivalent else "not equivalent",
+                "method": "none",
+                "summary": "undecidable by implemented methods",
             }
         )
-        _finish_report(args, report, forward)
-        return 0 if equivalent else 1
+        _finish_report(args, report)
+        return 3
+    equivalent = forward is not None and backward is not None
     report.update(
         {
-            "method": "none",
-            "summary": "undecidable by implemented methods",
+            "method": "measure_and_prepare",
+            "forward": forward is not None,
+            "backward": backward is not None,
+            "equivalent": equivalent,
+            "summary": "equivalent" if equivalent else "not equivalent",
         }
     )
-    _finish_report(args, report)
-    return 3
+    _finish_report(args, report, forward)
+    return 0 if equivalent else 1
 
 
 def cmd_random(args) -> int:

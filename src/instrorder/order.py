@@ -3,13 +3,17 @@
 Every function here that claims J is reachable from I returns a witness: a
 processor instrument per source outcome, plus the target instrument J
 itself, in Kraus form.  replay_witness pushes the source back through
-compose_post_processing so the claim can always be checked numerically;
-witness_error compares each replayed operation with the target's from the
-Kraus matrices of both, without forming a Choi matrix
-(instrument._choi_gap), and also holds every processor to trace
-preservation.  A witness read from a version-1 document carries the Choi
-matrices the document states instead of a Kraus form, and is compared with
-them densely.
+compose_post_processing so the claim can always be checked numerically.
+witness_error checks it without building that instrument: for each target
+outcome y it forms the replay's Kraus stack, Σ_x R^(x)_y ∘ I_x, straight
+from the products of the Kraus stacks, skipping zero processor operations
+(instrument._post_processed_kraus, the product rule compose_post_processing
+uses too), and compares it with the target's Kraus matrices through a
+Choi-gap kernel picked by shape (instrument._gram_gap), without forming a
+Choi matrix.  It also holds every processor to trace preservation.  A
+witness read from a version-1 document carries the Choi matrices the
+document states instead of a Kraus form; the replay's Choi matrix W W†,
+from its Kraus columns W, is compared with them densely.
 
 Processors after a single Kraus matrix K follow one pull-back rule
 (instrument._pull_back): a target operation with Kraus matrices L reached
@@ -42,11 +46,15 @@ from .errors import (
 from .instrument import (
     Instrument,
     QuantumOperation,
+    _check_processors,
     _closed_processor,
     _forwarding,
+    _gram_gap,
+    _kraus_columns,
+    _kraus_rows,
     _minimal_branches,
+    _post_processed_kraus,
     _pull_back,
-    choi_distance,
     complete_channel,
     compose_post_processing,
     detailed_instrument,
@@ -107,14 +115,29 @@ def witness_error(source: Instrument, w: InstrumentWitness) -> float:
     and of the processors' normalization gaps ‖Σ_k K_k†K_k − I‖_F (summed
     over every outcome's Kraus matrices): a replay can match its target
     through processors that are not instruments.  NaN if any of them is
-    NaN."""
-    replay = replay_witness(source, w)
+    NaN.
+
+    The replay is never built as an instrument: for each target outcome y
+    the Kraus stack of Σ_x R^(x)_y ∘ I_x comes straight from the products
+    of the Kraus stacks (instrument._post_processed_kraus) and is compared
+    with the target's through instrument._gram_gap.  It raises what
+    replay_witness would.
+    """
+    if source.labels != w.source_labels:
+        raise LabelMismatch("witness was built for a source with different outcome labels")
+    ref = _check_processors(source, w.processors)
+    shape = (source.dim_in, ref.dim_out)
+    errors = []
     if isinstance(w.target, Instrument):
-        errors = [choi_distance(replay.operation(y), op) for y, op in w.target.outcomes]
+        for y, op in w.target.outcomes:
+            if (op.dim_in, op.dim_out) != shape:
+                raise DimensionMismatch("operations act between different spaces")
+            ks = _post_processed_kraus(source, w.processors, y)
+            errors.append(_gram_gap(_kraus_rows(ks), _kraus_rows(op.kraus)))
     else:
-        errors = []
         for y, stated in w.target.items():
-            C = replay.operation(y).choi_matrix
+            V = _kraus_columns(_post_processed_kraus(source, w.processors, y))
+            C = V @ V.conj().T
             if stated.shape != C.shape:  # frob_dist would broadcast
                 raise DimensionMismatch(
                     f"target {y!r} states a Choi matrix of shape {stated.shape}, "
@@ -263,6 +286,20 @@ def witness_map_post_processing(I: Instrument, J: Instrument, tol: Tolerance = D
     """Witness from measure-and-prepare I to measure-and-prepare J, present
     exactly when A^J is a classical post-processing of A^I: the processor at
     x trashes I's output and prepares J's states with distribution μ_x."""
+    _, cert_j = _measure_and_prepare_pair(I, J, tol)
+    return _map_witness(I, J, cert_j, tol)
+
+
+def _map_witnesses(I: Instrument, J: Instrument, tol: Tolerance = DEFAULT_TOL):
+    """witness_map_post_processing in both directions, (I → J, J → I), with
+    each instrument tested for measure-and-prepare once."""
+    cert_i, cert_j = _measure_and_prepare_pair(I, J, tol)
+    return _map_witness(I, J, cert_j, tol), _map_witness(J, I, cert_i, tol)
+
+
+def _measure_and_prepare_pair(I: Instrument, J: Instrument, tol: Tolerance):
+    """The measure-and-prepare certificates of I and J, which must exist and
+    measure the same input space."""
     cert_i = is_measure_and_prepare(I, tol)
     cert_j = is_measure_and_prepare(J, tol)
     if cert_i is None:
@@ -271,6 +308,10 @@ def witness_map_post_processing(I: Instrument, J: Instrument, tol: Tolerance = D
         raise NotMeasureAndPrepare("second instrument is not measure-and-prepare")
     if I.dim_in != J.dim_in:
         raise DimensionMismatch("instruments measure different input spaces")
+    return cert_i, cert_j
+
+
+def _map_witness(I: Instrument, J: Instrument, cert_j, tol: Tolerance):
     mu = find_post_processing(induced_povm(I), induced_povm(J), tol)
     if mu is None:
         return None

@@ -11,6 +11,7 @@ from instrorder import (
     StochasticMatrix,
     compose_post_processing,
     luders,
+    replay_witness,
     random_distribution,
     random_isometry,
     random_rank1_povm,
@@ -273,3 +274,19 @@ def trash_and_prepare_choi(I: Instrument, tol=DEFAULT_TOL):
         p[i] = weight
         states.append(hermitize(block) / weight)
     return p, states
+
+
+def witness_error_dense(source: Instrument, w) -> float:
+    """witness_error as it was before it replayed from product columns: the
+    replay built by compose_post_processing, each of its operations'
+    dense Choi matrix compared with the target's (or with the Choi matrix
+    a version-1 witness states), and every processor's normalization gap;
+    used as the reference."""
+    replay = replay_witness(source, w)
+    t = w.target
+    stated = t.items() if isinstance(t, dict) else ((y, op.choi_matrix) for y, op in t.outcomes)
+    errors = [frob_dist(replay.operation(y).choi_matrix, C) for y, C in stated]
+    for R in w.processors.values():
+        stacked = np.concatenate([op.kraus for op in R.operations]).reshape(-1, R.dim_in)
+        errors.append(frob_dist(stacked.conj().T @ stacked, np.eye(R.dim_in)))
+    return float(np.max(errors))

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -25,12 +26,13 @@ from instrorder import (
     save,
     simulate,
     State,
+    is_trash_and_prepare,
     trash_and_prepare,
     witness_detailed_to_original,
     witness_error,
     witness_indecomposable_equivalence,
 )
-from instrorder import cli
+from instrorder import classify, cli, order, serialize
 from instrorder.cli import main
 from instrorder.errors import SolverError
 from instrorder.linalg import DEFAULT_TOL
@@ -109,6 +111,39 @@ def test_classify_trash_and_prepare(tmp_path, capsys):
     assert report["measure_and_prepare"] is True
     assert report["identity_class"] is False
     assert "trash_and_prepare_certificate" in report
+
+
+@pytest.mark.parametrize("trivial", [True, False], ids=["trash_and_prepare", "measure_and_prepare"])
+def test_classify_tests_measure_and_prepare_once(tmp_path, capsys, monkeypatch, trivial):
+    # the trash-and-prepare answer is read off the one measure-and-prepare
+    # certificate; the report is the one is_trash_and_prepare gives
+    states = [random_state(3, 30 + x) for x in range(3)]
+    I = (
+        trash_and_prepare([0.2, 0.3, 0.5], states, dim_in=3)
+        if trivial
+        else measure_and_prepare(random_povm(3, 3, 33), states)
+    )
+    calls = []
+    original = classify.is_measure_and_prepare
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (cli, classify):
+        monkeypatch.setattr(module, "is_measure_and_prepare", counted)
+    assert main(["classify", "--json", _write(tmp_path, "i.json", I)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    tp = is_trash_and_prepare(I)
+    assert report["trash_and_prepare"] is trivial is (tp is not None)
+    if trivial:
+        p, certified = tp
+        assert report["trash_and_prepare_certificate"] == {
+            "probs": [float(w) for w in p],
+            "states": [serialize._enc_matrix(s.matrix).tolist() for s in certified],
+        }
 
 
 def test_classify_json_text_keeps_python_float_notation(tmp_path, capsys):
@@ -298,6 +333,38 @@ def test_equiv_rejects_proportional_pair(tmp_path, capsys):
     code = main(["equiv", _write(tmp_path, "a.json", A), _write(tmp_path, "b.json", B)])
     assert code == 1
     assert "not equivalent" in capsys.readouterr().out
+
+
+def test_equiv_rejects_an_invalid_povm_with_exit_2(tmp_path, capsys):
+    # effects summing to 2·I: not a POVM, so not "equivalent" to itself
+    P = Povm(2, [("a", np.eye(2)), ("b", np.eye(2))])
+    path = _write(tmp_path, "p.json", P)
+    assert main(["validate", path]) == 1
+    capsys.readouterr()
+    assert main(["equiv", path, path]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: invalid povm: completeness: effects sum off identity" in err
+    good = _write(tmp_path, "q.json", random_povm(2, 2, 1))
+    assert main(["equiv", good, path]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_equiv_rejects_an_invalid_instrument_with_exit_2(tmp_path, capsys):
+    L = luders(basis_pvm(2))
+    doubled = Instrument(2, 2, [(x, QuantumOperation(2, 2, 2 * op.kraus)) for x, op in L.outcomes])
+    path = _write(tmp_path, "i.json", doubled)
+    assert main(["equiv", _write(tmp_path, "l.json", L), path]) == 2
+    assert f"error: {path}: invalid instrument: " in capsys.readouterr().err
+
+
+def test_equiv_tests_each_measure_and_prepare_instrument_once(tmp_path, capsys, monkeypatch):
+    I, J = (random_instrument(4, 3, 1, 2, seed) for seed in (41, 42))
+    calls = []
+    original = classify.is_measure_and_prepare
+    monkeypatch.setattr(order, "is_measure_and_prepare", lambda *args: calls.append(args) or original(*args))
+    assert main(["equiv", _write(tmp_path, "i.json", I), _write(tmp_path, "j.json", J)]) == 1
+    assert "method: measure_and_prepare" in capsys.readouterr().out
+    assert len(calls) == 2
 
 
 def test_equiv_accepts_relabeled_povm(tmp_path, capsys):
@@ -522,19 +589,31 @@ _MUTABLE_DOCUMENTS = {
 }
 
 
+_FLOAT = re.compile(r"-?\d+\.\d+(?:e[-+]?\d+)?")
+
+
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
 @given(
     kind=st.sampled_from(sorted(_MUTABLE_DOCUMENTS)),
     command=st.sampled_from(["validate", "classify", "equiv", "induced-povm", "luders"]),
-    mutations=st.lists(st.tuples(st.integers(0, 9), st.none() | _JSON_VALUES), min_size=1, max_size=2),
+    mutations=st.lists(st.tuples(st.integers(0, 9), st.none() | _JSON_VALUES), max_size=2),
+    entry=st.none() | st.tuples(st.integers(0, 99), st.sampled_from([0.0, 0.5, 2.0, -1.0])),
 )
 def test_mutated_top_level_fields_never_end_in_an_internal_error(
-    tmp_path_factory, kind, command, mutations
+    tmp_path_factory, kind, command, mutations, entry
 ):
-    # each mutation replaces one top-level field by a JSON value, or drops it
-    # (None); the answer is a parse error, a report or a decision, never a fault
+    # entry replaces one matrix number, which keeps the document parsable;
+    # each mutation replaces one top-level field by a JSON value, or drops
+    # it (None).  The answer is a parse error, a report or a decision, never
+    # a fault, and exit 1 ("no") is a failed validity check of a parsed
+    # document or a decided "no" between valid ones
     good = _MUTABLE_DOCUMENTS[kind]
-    doc = encode(document_for(good))
+    text = json.dumps(encode(document_for(good)))
+    if entry is not None:
+        numbers = list(_FLOAT.finditer(text))
+        m = numbers[entry[0] % len(numbers)]
+        text = text[: m.start()] + repr(entry[1]) + text[m.end() :]
+    doc = json.loads(text)
     for index, value in mutations:
         field = sorted(doc)[index % len(doc)] if doc else "kind"
         if value is None:
@@ -545,7 +624,15 @@ def test_mutated_top_level_fields_never_end_in_an_internal_error(
     bad = folder / "bad.json"
     bad.write_text(json.dumps(doc))
     argv = [command, str(bad)] + ([_write(folder, "ok.json", good)] if command == "equiv" else [])
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), err.getvalue()
+    if code == 1:
+        parsed = load(bad)
+        if command == "equiv":
+            assert cli._validate(parsed, DEFAULT_TOL).ok
+            assert "summary: not equivalent" in out.getvalue()
+        else:
+            assert command in ("validate", "classify")
+            assert "ok: False" in out.getvalue()

@@ -46,6 +46,7 @@ from instrorder import (
 )
 from instrorder.instrument import (
     _choi_gap,
+    _state_matrix,
     check_weights,
     complete_channel,
     is_zero_operation,
@@ -531,6 +532,23 @@ def test_measure_and_prepare_kraus_match_the_outer_product_loop():
         ]
         assert len(ks) == 12
         assert op.kraus.tobytes() == np.array(ks).tobytes()
+
+
+def test_measure_and_prepare_keeps_the_eigh_kraus_on_multiples_of_identity():
+    # trivial effects c·I and the maximally mixed state skip eigh, which
+    # returns (c, …, c) and the standard basis there: the same bytes
+    A = trivial_povm([0.0, 0.25, 0.75, 1.0 / 3.0], 4)
+    states = [np.eye(4) / 4, random_state(4, 50), np.eye(4) / 4, random_state(4, 51)]
+    I = measure_and_prepare(A, states)
+    for E, xi, op in zip(A.effects, states, I.operations):
+        q, phi = np.linalg.eigh(hermitize(E))
+        p, psi = np.linalg.eigh(hermitize(_state_matrix(xi)))
+        ks = [
+            np.sqrt(p[i] * q[j]) * np.outer(psi[:, i], phi[:, j].conj())
+            for i in np.nonzero(p > RANK_REL * p.max())[0]
+            for j in np.nonzero(q > RANK_REL * q.max())[0]
+        ]
+        assert op.kraus.tobytes() == (np.array(ks) if ks else np.zeros((1, 4, 4), dtype=complex)).tobytes()
 
 
 def test_empty_and_all_zero_kraus_lists_give_the_zero_operation():

@@ -5,6 +5,7 @@ from instrorder import (
     CertificateMismatch,
     DimensionMismatch,
     Instrument,
+    InstrumentWitness,
     NotIndecomposable,
     NotMeasureAndPrepare,
     Povm,
@@ -48,7 +49,10 @@ from instrorder import (
     witness_to_trash_and_prepare,
     zero_operation,
 )
-from instrorder.linalg import DEFAULT_TOL, frob_dist
+from instrorder.errors import LabelMismatch, OutcomeSetMismatch, UnknownLabel
+from instrorder import order
+from instrorder.instrument import _gram_gap, routed
+from instrorder.linalg import DEFAULT_TOL, frob, frob_dist
 from instrorder.order import _checked, _witness
 
 from helpers import (
@@ -56,6 +60,7 @@ from helpers import (
     random_identity_class_instrument,
     random_indecomposable,
     split_and_dress,
+    witness_error_dense,
 )
 
 from test_instrument import depolarizing_channel
@@ -482,3 +487,224 @@ def test_luders_refinement_processors_are_instruments(ev):
     phi = luders_refinement_witness(I)
     assert all(validate_instrument(R).ok for R in phi.values())
     assert instrument_distance(compose_post_processing(luders(induced_povm(I)), phi), I) < 1e-9
+
+
+def _pure_state(d, seed):
+    v = random_unitary(d, seed)[:, 0]
+    return np.outer(v, v.conj())
+
+
+def _witnesses_of_every_constructor():
+    """(source, witness) pairs from every witness constructor; their
+    shapes reach each of the three kernels of instrument._gram_gap."""
+    I = random_instrument(3, 3, 3, 2, seed=80)
+    L = luders(random_povm(3, 4, seed=81))
+    Lr = relabel_instrument(L, {x: f"r{x}" for x in L.labels})
+    S = random_identity_class_instrument(2, 2, [2, 1], seed=82)
+    A = random_povm(6, 3, seed=83)
+    M = measure_and_prepare(A, [random_state(3, 84 + x) for x in range(6)])
+    N = measure_and_prepare(relabel(A, lambda label: int(label) % 3), [random_state(3, 90 + y) for y in range(3)])
+    C = random_instrument(1, 8, 8, 2, seed=93)  # D = 64: 16 replay columns against 8
+    R = random_instrument(3, 16, 16, 2, seed=94)  # D = 256: 96 replay columns against 16
+    eq = witness_indecomposable_equivalence(L, Lr)
+    Li = luders(induced_povm(I))
+    return [
+        (detailed_instrument(I), witness_detailed_to_original(I)),
+        (L, witness_original_to_detailed(L)),
+        (S, witness_identity_reversal(S)),
+        (I, witness_to_trash_and_prepare(I, [0.3, 0.7], [random_state(3, 95), random_state(3, 96)])),
+        (C, witness_to_trash_and_prepare(C, [1.0], [_pure_state(8, 97)])),
+        (R, witness_to_trash_and_prepare(R, [0.4, 0.6], [_pure_state(16, 98), _pure_state(16, 99)])),
+        (L, eq.forward),
+        (Lr, eq.backward),
+        (M, witness_map_post_processing(M, N)),
+        (Li, _witness(Li, luders_refinement_witness(I), I)),
+    ]
+
+
+_CASES = _witnesses_of_every_constructor()
+
+
+def _kernel(k_a, k_b, D):
+    """The kernel _gram_gap documents for row stacks of these shapes."""
+    n = k_a + k_b
+    return "dense" if 2 * n >= D else "joint" if n * n <= 4 * D else "projection"
+
+
+def _stated(w):
+    """The witness as a version-1 document holds it: the target's Choi
+    matrices in place of its Kraus form."""
+    return InstrumentWitness(w.source_labels, w.processors, {y: op.choi_matrix for y, op in w.target.outcomes})
+
+
+def test_witness_error_matches_the_dense_replay_on_every_constructor(monkeypatch):
+    shapes = []
+    gap = order._gram_gap
+    monkeypatch.setattr(order, "_gram_gap", lambda A, B: shapes.append((len(A), len(B), A.shape[1])) or gap(A, B))
+    for source, w in _CASES:
+        ref = witness_error_dense(source, w)
+        assert ref <= DEFAULT_TOL.eq_abs
+        assert abs(witness_error(source, w) - ref) <= 1e-13
+        assert abs(witness_error(source, _stated(w)) - ref) <= 1e-13
+    assert {_kernel(*shape) for shape in shapes} == {"dense", "joint", "projection"}
+
+
+@pytest.mark.parametrize("index", range(len(_CASES)))
+def test_witness_error_matches_the_dense_replay_on_broken_witnesses(index):
+    source, w = _CASES[index]
+    x = source.labels[0]
+    R = w.processors[x]
+    y = next(y for y, op in R.outcomes if op.kraus.any())
+    dropped = Instrument(R.dim_in, R.dim_out, [(l, zero_operation(R.dim_in, R.dim_out) if l == y else op) for l, op in R.outcomes])
+    rng = np.random.default_rng(index)
+    t = w.target
+    y0, op0 = t.outcomes[0]
+    E = rng.normal(size=op0.kraus.shape) + 1j * rng.normal(size=op0.kraus.shape)
+    moved = QuantumOperation(t.dim_in, t.dim_out, op0.kraus + 10 * DEFAULT_TOL.eq_abs * E / frob(E))
+    broken = [
+        _witness(source, {**w.processors, x: dropped}, t),
+        _witness(source, w.processors, Instrument(t.dim_in, t.dim_out, [(y0, moved)] + t.outcomes[1:])),
+    ]
+    for b in broken:
+        ref = witness_error_dense(source, b)
+        assert ref > DEFAULT_TOL.eq_abs
+        assert abs(witness_error(source, b) - ref) <= 1e-13 * max(1.0, ref)
+        assert abs(witness_error(source, _stated(b)) - ref) <= 1e-13 * max(1.0, ref)
+
+
+def _qr_columns(monkeypatch, call):
+    """Column counts of the thin QRs call takes."""
+    columns = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda M, *a, **k: columns.append(M.shape[1]) or qr(M, *a, **k))
+    try:
+        return call(), columns
+    finally:
+        monkeypatch.setattr(np.linalg, "qr", qr)
+
+
+@pytest.mark.parametrize(
+    "d, k_a, k_b, kernel, qr_columns",
+    [
+        (4, 6, 2, "dense", []),
+        (4, 1, 1, "joint", [2]),
+        (8, 12, 4, "joint", [16]),
+        (8, 24, 3, "projection", [3]),
+        (8, 3, 24, "projection", [3]),
+        (16, 96, 16, "projection", [16]),
+        (8, 20, 0, "projection", [0]),
+        (8, 2, 0, "joint", [2]),
+        (8, 40, 24, "dense", []),
+    ],
+)
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_gram_gap_kernels_match_the_dense_choi_distance(monkeypatch, d, k_a, k_b, kernel, qr_columns, rank_deficient):
+    rng = np.random.default_rng(d * 1000 + k_a * 10 + k_b)
+    gauss = lambda k: rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    a, b = gauss(k_a), gauss(k_b)
+    if rank_deficient and k_b:  # every Kraus matrix of b a multiple of the first
+        b = rng.normal(size=(k_b, 1, 1)) * b[:1]
+    assert _kernel(k_a, k_b, d * d) == kernel
+    dense = frob_dist(QuantumOperation(d, d, a).choi_matrix, QuantumOperation(d, d, b).choi_matrix)
+    got, columns = _qr_columns(monkeypatch, lambda: _gram_gap(a.reshape(k_a, d * d), b.reshape(k_b, d * d)))
+    assert columns == qr_columns
+    assert abs(got - dense) <= 1e-13 * max(1.0, dense)
+
+
+@pytest.mark.parametrize("d, k_a, k_b", [(4, 6, 2), (8, 12, 4), (8, 24, 3), (16, 96, 16)])
+@pytest.mark.parametrize("side", ["larger", "smaller"])
+def test_gram_gap_of_a_nan_entry_is_nan_in_every_kernel(d, k_a, k_b, side):
+    rng = np.random.default_rng(d + k_a)
+    a = rng.normal(size=(k_a, d * d)) + 1j * rng.normal(size=(k_a, d * d))
+    b = rng.normal(size=(k_b, d * d)) + 1j * rng.normal(size=(k_b, d * d))
+    (a if side == "larger" else b)[0, 1] = np.nan
+    assert np.isnan(_gram_gap(a, b)) and np.isnan(_gram_gap(b, a))
+
+
+def test_witness_error_on_a_target_outcome_no_processor_reaches():
+    # routed processors: no source outcome reaches "c", whose replay is the
+    # zero operation; a target that is zero there is met, any other is not
+    I = random_instrument(2, 3, 3, 2, seed=100)
+    V = QuantumOperation(3, 3, [random_unitary(3, seed=101)])
+    to = {"0": "a", "1": "b"}
+    processors = {x: routed(V, ["a", "b", "c"], to[x]) for x in I.labels}
+    J = compose_post_processing(I, processors)
+    assert not J.operation("c").kraus.any()
+    K = QuantumOperation(3, 3, [0.1 * random_unitary(3, seed=102)])
+    for c, expected in ((J.operation("c"), 0.0), (K, frob(K.choi_matrix))):
+        target = Instrument(3, 3, J.outcomes[:2] + [("c", c)])
+        w = _witness(I, processors, target)
+        assert witness_error(I, w) == pytest.approx(expected, abs=1e-14)
+        assert witness_error(I, w) == pytest.approx(witness_error_dense(I, w), abs=1e-14)
+        assert witness_error(I, _stated(w)) == pytest.approx(expected, abs=1e-14)
+
+
+@pytest.mark.parametrize("where", ["source", "processor"])
+def test_witness_error_of_nan_kraus_matrices_is_nan(where):
+    source, w = _CASES[0]
+    N = np.full((source.dim_out, source.dim_in), np.nan)
+    if where == "source":
+        x, op = source.outcomes[0]
+        source = Instrument(source.dim_in, source.dim_out, [(x, QuantumOperation(op.dim_in, op.dim_out, [N]))] + source.outcomes[1:])
+    else:
+        x = source.labels[0]
+        R = w.processors[x]
+        y, op = R.outcomes[0]
+        nan_op = QuantumOperation(R.dim_in, R.dim_out, [np.full((R.dim_out, R.dim_in), np.nan)])
+        w = _witness(source, {**w.processors, x: Instrument(R.dim_in, R.dim_out, [(y, nan_op)] + R.outcomes[1:])}, w.target)
+    assert np.isnan(witness_error(source, w))
+    assert np.isnan(witness_error(source, _stated(w)))
+    with pytest.raises(SolverError, match="missed its target by nan"):
+        _checked(source, w.processors, w.target, DEFAULT_TOL)
+
+
+def _mismatched(source, w):
+    """(expected exception, source, witness) for each way a witness can fail
+    to fit its source or state its target."""
+    x0 = source.labels[0]
+    R = w.processors[x0]
+    t = w.target
+    wider = Instrument(R.dim_in + 1, R.dim_out, [(l, zero_operation(R.dim_in + 1, R.dim_out)) for l in R.labels])
+    taller = Instrument(R.dim_in, R.dim_out + 1, [(l, zero_operation(R.dim_in, R.dim_out + 1)) for l in R.labels])
+    renamed = Instrument(R.dim_in, R.dim_out, [(f"{l}'", op) for l, op in R.outcomes])
+    relabeled = Instrument(source.dim_in, source.dim_out, [(f"{l}'", op) for l, op in source.outcomes])
+    far = Instrument(t.dim_in, t.dim_out + 1, [(y, zero_operation(t.dim_in, t.dim_out + 1)) for y in t.labels])
+    unknown = Instrument(t.dim_in, t.dim_out, t.outcomes + [("unknown", zero_operation(t.dim_in, t.dim_out))])
+    return [
+        (LabelMismatch, relabeled, w),
+        (OutcomeSetMismatch, source, _witness(source, {x: R for x, R in w.processors.items() if x != x0}, t)),
+        (OutcomeSetMismatch, Instrument(source.dim_in, source.dim_out, []), InstrumentWitness([], {}, t)),
+        (DimensionMismatch, source, _witness(source, {**w.processors, x0: wider}, t)),
+        (DimensionMismatch, source, _witness(source, {**w.processors, x0: taller}, t)),
+        (OutcomeSetMismatch, source, _witness(source, {**w.processors, x0: renamed}, t)),
+        (DimensionMismatch, source, _witness(source, w.processors, far)),
+        (UnknownLabel, source, _witness(source, w.processors, unknown)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_witness_error_raises_what_the_replay_raises(case):
+    source, w = _CASES[1]  # two processors, so that one can be dropped or changed
+    exc, src, bad = _mismatched(source, w)[case]
+    with pytest.raises(exc):
+        witness_error(src, bad)
+    if bad.target is w.target:  # the replay never reads the target
+        with pytest.raises(exc):
+            replay_witness(src, bad)
+
+
+def test_map_witness_diagonalizes_only_the_prepared_states(monkeypatch):
+    # d = 8, 8 -> 4: J's prepare instrument is trash_and_prepare of its 4
+    # states, whose effects 1·I need no eigh (decomposing them too makes 8)
+    A = random_povm(8, 8, seed=110)
+    nu = np.array([random_distribution(4, seed=111 + x) for x in range(8)])
+    B = Povm(8, [(str(y), E) for y, E in enumerate(np.einsum("xy,xij->yij", nu, np.array(A.effects)))])
+    I = measure_and_prepare(A, [_pure_state(8, 120 + x) for x in range(8)])
+    J = measure_and_prepare(B, [_pure_state(8, 130 + y) for y in range(4)])
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda M, *a, **k: calls.append(M.shape) or eigh(M, *a, **k))
+    w = witness_map_post_processing(I, J)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    assert w is not None and witness_error(I, w) <= DEFAULT_TOL.eq_abs
+    assert len(calls) == 4
