@@ -59,6 +59,7 @@ from .order import (
     EquivalenceWitness,
     InstrumentWitness,
     check_povm_necessary_condition,
+    instrument_equivalence,
     luders_refinement_witness,
     replay_witness,
     witness_detailed_to_original,

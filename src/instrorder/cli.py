@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (or true), 1 validation failure (or false), 2 usage or
 parse error (equiv also exits 2 on an input that fails validation, naming
-its violations), 3 question undecidable by the implemented methods, 4 internal
-failure: a solver error or any other unexpected exception (no answer was
-reached, so neither "yes" nor "no").  Reports are JSON with --json and short
+its violations, and on instruments that measure different input spaces),
+3 question undecidable by the implemented methods, 4 internal failure: a
+solver error or any other unexpected exception (no answer was reached, so
+neither "yes" nor "no").  Reports are JSON with --json and short
 human-readable lines otherwise; object-producing commands write a document
 with --output.
 """
@@ -26,7 +27,7 @@ from .classify import (
     is_indecomposable_instrument,
     is_measure_and_prepare,
 )
-from .errors import InstrOrderError, NotMeasureAndPrepare, ParseError, SolverError
+from .errors import InstrOrderError, ParseError, SolverError
 from .instrument import (
     compose_post_processing,
     detailed_instrument,
@@ -36,7 +37,7 @@ from .instrument import (
     validate_state,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .order import _map_witnesses, witness_indecomposable_equivalence
+from .order import instrument_equivalence
 from .povm import is_trivial, povm_equivalent, validate_povm
 from .randgen import random_instrument, random_povm, random_state
 from .serialize import Document, load, save
@@ -240,41 +241,17 @@ def cmd_equiv(args) -> int:
             report["stochastic_from_a"] = _enc_stochastic(mu)
         _finish_report(args, report)
         return 0 if equivalent else 1
-    I, J = da.payload, db.payload
-    report = {"command": "equiv", "tolerances": _tol_report(tol)}
-    if is_indecomposable_instrument(I, tol) and is_indecomposable_instrument(J, tol):
-        w = witness_indecomposable_equivalence(I, J, tol)
-        equivalent = w is not None
-        report.update(
-            {
-                "method": "indecomposable",
-                "equivalent": equivalent,
-                "summary": "equivalent" if equivalent else "not equivalent",
-            }
-        )
-        _finish_report(args, report, w.forward if equivalent else None)
-        return 0 if equivalent else 1
-    try:  # both instruments are tested for measure-and-prepare first
-        forward, backward = _map_witnesses(I, J, tol)
-    except NotMeasureAndPrepare:
-        report.update(
-            {
-                "method": "none",
-                "summary": "undecidable by implemented methods",
-            }
-        )
+    method, forward, backward = instrument_equivalence(da.payload, db.payload, tol)
+    report = {"command": "equiv", "tolerances": _tol_report(tol), "method": method}
+    if method == "none":
+        report["summary"] = "undecidable by implemented methods"
         _finish_report(args, report)
         return 3
+    if method == "measure_and_prepare":
+        report.update({"forward": forward is not None, "backward": backward is not None})
     equivalent = forward is not None and backward is not None
-    report.update(
-        {
-            "method": "measure_and_prepare",
-            "forward": forward is not None,
-            "backward": backward is not None,
-            "equivalent": equivalent,
-            "summary": "equivalent" if equivalent else "not equivalent",
-        }
-    )
+    report["equivalent"] = equivalent
+    report["summary"] = "equivalent" if equivalent else "not equivalent"
     _finish_report(args, report, forward)
     return 0 if equivalent else 1
 

@@ -452,11 +452,11 @@ def measure_and_prepare(A: Povm, states, tol: Tolerance = DEFAULT_TOL) -> Instru
 
 
 def trash_and_prepare(p, states, dim_in: int, labels=None) -> Instrument:
-    """Instrument rho -> tr[rho] p_x xi_x; ignores the input entirely."""
-    p = np.asarray(p, dtype=float)
+    """Instrument rho -> tr[rho] p_x xi_x; ignores the input entirely.  p
+    must form a probability distribution (check_weights)."""
     if len(p) != len(states):
         raise DimensionMismatch("one prepared state per probability required")
-    return measure_and_prepare(trivial_povm(p, dim_in, labels), states)
+    return measure_and_prepare(trivial_povm(check_weights(p, states), dim_in, labels), states)
 
 
 def pair_label(index, label) -> str:

@@ -20,6 +20,10 @@ Processors after a single Kraus matrix K follow one pull-back rule
 with weight w is realized by √w · L K⁺, and the channel is closed on the
 kernel of K† by complete_channel.  The indecomposable equivalence
 witnesses and the Lüders refinement are both built this way.
+
+instrument_equivalence picks the route for an equivalence question: the
+induced POVMs of indecomposable instruments, or a stochastic matrix between
+the measurements of measure-and-prepare ones.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .errors import (
 )
 from .instrument import (
     Instrument,
-    QuantumOperation,
     _check_processors,
     _closed_processor,
     _forwarding,
@@ -55,17 +58,17 @@ from .instrument import (
     _minimal_branches,
     _post_processed_kraus,
     _pull_back,
-    complete_channel,
     compose_post_processing,
     detailed_instrument,
     identity_instrument,
     induced_povm,
     luders,
+    measure_and_prepare,
     scale_operation,
     trash_and_prepare,
 )
 from .linalg import DEFAULT_TOL, Tolerance, frob_dist, range_projector
-from .povm import find_post_processing, povm_equivalent
+from .povm import find_post_processing, povm_equivalent, trivial_povm
 
 
 @dataclass(eq=False)
@@ -211,21 +214,19 @@ def witness_identity_reversal(
 ) -> InstrumentWitness:
     """Channels R^(x) with Σ_x R^(x) ∘ I_x = identity, from an
     identity-class certificate: R^(x) applies the adjoints of the branch
-    isometries, completed to a channel by complete_channel, which funnels
-    the remaining output subspace into the first basis state of the input
-    space."""
-    if cert is None:
+    isometries, closed by _closed_processor, which funnels the remaining
+    output subspace into the first basis state of the input space."""
+    if cert is None:  # identity_class_certificate has checked its own
         cert = identity_class_certificate(I, tol)
         if cert is None:
             raise PreconditionViolated("instrument is not in the identity class")
-    if not certificate_error(I, cert) <= tol.eq_abs:  # so that a NaN error fails
+    elif not certificate_error(I, cert) <= tol.eq_abs:  # so that a NaN error fails
         raise CertificateMismatch("certificate does not reproduce the instrument")
-    d_in, d_out = I.dim_in, I.dim_out
-    processors = {}
-    for x in I.labels:
-        ks = complete_channel([V.conj().T for _, V in cert.branches[x]], d_out, d_in)
-        processors[x] = Instrument(d_out, d_in, [("0", QuantumOperation(d_out, d_in, ks))])
-    return _checked(I, processors, identity_instrument(d_in), tol)
+    processors = {
+        x: _closed_processor({"0": [V.conj().T for _, V in cert.branches[x]]}, I.dim_out, I.dim_in)
+        for x in I.labels
+    }
+    return _checked(I, processors, identity_instrument(I.dim_in), tol)
 
 
 def witness_to_trash_and_prepare(
@@ -286,38 +287,42 @@ def witness_map_post_processing(I: Instrument, J: Instrument, tol: Tolerance = D
     """Witness from measure-and-prepare I to measure-and-prepare J, present
     exactly when A^J is a classical post-processing of A^I: the processor at
     x trashes I's output and prepares J's states with distribution μ_x."""
-    _, cert_j = _measure_and_prepare_pair(I, J, tol)
-    return _map_witness(I, J, cert_j, tol)
-
-
-def _map_witnesses(I: Instrument, J: Instrument, tol: Tolerance = DEFAULT_TOL):
-    """witness_map_post_processing in both directions, (I → J, J → I), with
-    each instrument tested for measure-and-prepare once."""
-    cert_i, cert_j = _measure_and_prepare_pair(I, J, tol)
-    return _map_witness(I, J, cert_j, tol), _map_witness(J, I, cert_i, tol)
-
-
-def _measure_and_prepare_pair(I: Instrument, J: Instrument, tol: Tolerance):
-    """The measure-and-prepare certificates of I and J, which must exist and
-    measure the same input space."""
-    cert_i = is_measure_and_prepare(I, tol)
-    cert_j = is_measure_and_prepare(J, tol)
-    if cert_i is None:
+    if is_measure_and_prepare(I, tol) is None:
         raise NotMeasureAndPrepare("first instrument is not measure-and-prepare")
+    cert_j = is_measure_and_prepare(J, tol)
     if cert_j is None:
         raise NotMeasureAndPrepare("second instrument is not measure-and-prepare")
     if I.dim_in != J.dim_in:
         raise DimensionMismatch("instruments measure different input spaces")
-    return cert_i, cert_j
+    return _map_witness(I, J, cert_j, tol)
+
+
+def instrument_equivalence(I: Instrument, J: Instrument, tol: Tolerance = DEFAULT_TOL):
+    """(method, forward, backward) for the equivalence of I and J, which
+    holds exactly when both witnesses are present.  method is the first
+    route that applies to both: "indecomposable"
+    (witness_indecomposable_equivalence), "measure_and_prepare"
+    (witness_map_post_processing each way, each instrument tested once), or
+    "none", with no witnesses."""
+    if I.dim_in != J.dim_in:
+        raise DimensionMismatch("instruments measure different input spaces")
+    if is_indecomposable_instrument(I, tol) and is_indecomposable_instrument(J, tol):
+        eq = witness_indecomposable_equivalence(I, J, tol)
+        return ("indecomposable",) + ((None, None) if eq is None else (eq.forward, eq.backward))
+    cert_i = is_measure_and_prepare(I, tol)
+    cert_j = is_measure_and_prepare(J, tol)
+    if cert_i is None or cert_j is None:
+        return "none", None, None
+    return "measure_and_prepare", _map_witness(I, J, cert_j, tol), _map_witness(J, I, cert_i, tol)
 
 
 def _map_witness(I: Instrument, J: Instrument, cert_j, tol: Tolerance):
     mu = find_post_processing(induced_povm(I), induced_povm(J), tol)
     if mu is None:
         return None
-    # J's states are diagonalized once; the processor at x weights the
-    # prepared operations by row x of μ (a zero weight gives the zero operation)
-    prepare = trash_and_prepare(np.ones(len(J)), cert_j.states, dim_in=I.dim_out, labels=J.labels)
+    # J's states are diagonalized once, under unit weights; the processor at x
+    # weights them by row x of μ (a zero weight gives the zero operation)
+    prepare = measure_and_prepare(trivial_povm(np.ones(len(J)), I.dim_out, J.labels), cert_j.states)
     processors = {
         x: Instrument(
             prepare.dim_in,

@@ -433,11 +433,23 @@ def test_equiv_undecidable_exits_3(tmp_path, capsys):
     assert "undecidable" in capsys.readouterr().out
 
 
+def test_equiv_different_input_spaces_exits_2(tmp_path, capsys):
+    # neither instrument is indecomposable or measure-and-prepare
+    a = _write(tmp_path, "a.json", random_instrument(3, 4, 4, 2, 7))
+    b = _write(tmp_path, "b.json", random_instrument(2, 3, 3, 2, 8))
+    out = tmp_path / "w.json"
+    assert main(["equiv", a, b, "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: instruments measure different input spaces" in captured.err
+    assert not out.exists()
+
+
 def test_equiv_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise SolverError("witness replay missed its target by 1e-3")
 
-    monkeypatch.setattr(cli, "witness_indecomposable_equivalence", fail)
+    monkeypatch.setattr(order, "witness_indecomposable_equivalence", fail)
     L = _write(tmp_path, "l.json", luders(basis_pvm(2)))
     assert main(["equiv", L, L]) == 4
     assert "missed its target" in capsys.readouterr().err

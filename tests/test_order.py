@@ -21,6 +21,7 @@ from instrorder import (
     identity_instrument,
     induced_povm,
     instrument_distance,
+    instrument_equivalence,
     is_indecomposable_instrument,
     is_measure_and_prepare,
     is_trash_and_prepare,
@@ -50,7 +51,7 @@ from instrorder import (
     zero_operation,
 )
 from instrorder.errors import LabelMismatch, OutcomeSetMismatch, UnknownLabel
-from instrorder import order
+from instrorder import classify, order
 from instrorder.instrument import _gram_gap, routed
 from instrorder.linalg import DEFAULT_TOL, frob, frob_dist
 from instrorder.order import _checked, _witness
@@ -708,3 +709,121 @@ def test_map_witness_diagonalizes_only_the_prepared_states(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", eigh)
     assert w is not None and witness_error(I, w) <= DEFAULT_TOL.eq_abs
     assert len(calls) == 4
+
+
+def test_identity_reversal_checks_the_certificate_once(monkeypatch):
+    # identity_class_certificate checks the certificate it builds; the
+    # witness checks only one the caller supplies
+    I = random_identity_class_instrument(2, 3, [2, 1], seed=44)
+    calls = []
+    original = classify.certificate_error
+    counted = lambda *args: calls.append(args) or original(*args)
+    for module in (classify, order):
+        monkeypatch.setattr(module, "certificate_error", counted)
+    assert witness_error(I, witness_identity_reversal(I)) <= DEFAULT_TOL.eq_abs
+    assert len(calls) == 1
+    calls.clear()
+    witness_identity_reversal(I, identity_class_certificate(I))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("p", [[0.5, 0.7], [0.5, np.nan], [1.5, -0.5]], ids=["sum", "nan", "negative"])
+def test_trash_and_prepare_rejects_weights_off_the_simplex(p):
+    states = [random_state(2, 90), random_state(2, 91)]
+    with pytest.raises(ValueError, match="probability distribution"):
+        trash_and_prepare(p, states, dim_in=2)
+    with pytest.raises(ValueError, match="probability distribution"):
+        witness_to_trash_and_prepare(identity_instrument(2), p, states)
+
+
+def test_trash_and_prepare_checks_the_length_first():
+    with pytest.raises(DimensionMismatch):
+        trash_and_prepare([0.5, 0.7], [random_state(2, 92)], dim_in=2)
+
+
+def _same_witness(a, b):
+    assert (a.source_labels, a.target_labels) == (b.source_labels, b.target_labels)
+    assert a.processors.keys() == b.processors.keys()
+    for x, R in a.processors.items():
+        assert R.labels == b.processors[x].labels
+        for op, ref in zip(R.operations, b.processors[x].operations):
+            assert np.array_equal(op.kraus, ref.kraus)
+
+
+def _measure_and_prepare_pairs():
+    A = random_povm(3, 2, seed=18)
+    M = measure_and_prepare(A, [random_state(2, 50 + i) for i in range(3)])
+    T = trash_and_prepare([0.25, 0.75], [random_state(2, 60), random_state(2, 61)], dim_in=2)
+    B, C = proportional_inequivalent_pair()
+    MB = measure_and_prepare(B, [random_state(2, 70 + i) for i in range(len(B))])
+    MC = measure_and_prepare(C, [random_state(2, 80 + i) for i in range(len(C))])
+    return {
+        "both": (M, M, True, True),
+        "forward only": (M, T, True, False),
+        "backward only": (T, M, False, True),
+        "neither": (MB, MC, False, False),
+    }
+
+
+@pytest.mark.parametrize("case", ["both", "forward only", "backward only", "neither"])
+def test_instrument_equivalence_measure_and_prepare(case, monkeypatch):
+    I, J, has_forward, has_backward = _measure_and_prepare_pairs()[case]
+    assert not (is_indecomposable_instrument(I) and is_indecomposable_instrument(J))
+    calls = []
+    original = classify.is_measure_and_prepare
+    monkeypatch.setattr(order, "is_measure_and_prepare", lambda inst, tol: calls.append(inst) or original(inst, tol))
+    method, forward, backward = instrument_equivalence(I, J)
+    assert method == "measure_and_prepare"
+    assert calls == [I, J]
+    monkeypatch.undo()
+    for source, w, present, ref in (
+        (I, forward, has_forward, witness_map_post_processing(I, J)),
+        (J, backward, has_backward, witness_map_post_processing(J, I)),
+    ):
+        assert (w is not None) is present
+        assert (ref is not None) is present
+        if present:
+            assert witness_error(source, w) <= DEFAULT_TOL.eq_abs
+            _same_witness(w, ref)
+
+
+def test_instrument_equivalence_indecomposable():
+    L = luders(random_rank1_povm(3, 2, seed=12))
+    Lr = relabel_instrument(L, {x: f"r{x}" for x in L.labels})
+    method, forward, backward = instrument_equivalence(L, Lr)
+    assert method == "indecomposable"
+    assert witness_error(L, forward) <= DEFAULT_TOL.eq_abs
+    assert witness_error(Lr, backward) <= DEFAULT_TOL.eq_abs
+    ref = witness_indecomposable_equivalence(L, Lr)
+    _same_witness(forward, ref.forward)
+    _same_witness(backward, ref.backward)
+    A, B = proportional_inequivalent_pair()
+    assert witness_indecomposable_equivalence(luders(A), luders(B)) is None
+    assert instrument_equivalence(luders(A), luders(B)) == ("indecomposable", None, None)
+
+
+def test_instrument_equivalence_undecided_without_a_method():
+    I, J = (random_instrument(2, 3, 3, 2, seed) for seed in (93, 94))
+    for inst in (I, J):
+        assert not is_indecomposable_instrument(inst)
+        assert is_measure_and_prepare(inst) is None
+    assert instrument_equivalence(I, J) == ("none", None, None)
+    M = _measure_and_prepare_pairs()["both"][0]
+    assert instrument_equivalence(M, random_instrument(2, 2, 2, 2, 95)) == ("none", None, None)
+
+
+@pytest.mark.parametrize(
+    "I, J",
+    [
+        (luders(basis_pvm(2)), luders(basis_pvm(3))),
+        (
+            measure_and_prepare(basis_pvm(2), [random_state(2, 96), random_state(2, 97)]),
+            measure_and_prepare(basis_pvm(3), [random_state(2, 98 + i) for i in range(3)]),
+        ),
+        (random_instrument(3, 4, 4, 2, 99), random_instrument(2, 3, 3, 2, 100)),
+    ],
+    ids=["indecomposable", "measure_and_prepare", "none"],
+)
+def test_instrument_equivalence_rejects_different_input_spaces(I, J):
+    with pytest.raises(DimensionMismatch, match="instruments measure different input spaces"):
+        instrument_equivalence(I, J)
