@@ -23,10 +23,10 @@ from instrorder import (
     random_instrument,
     random_povm,
     random_state,
-    simulate,
     trash_and_prepare,
     witness_identity_reversal,
 )
+from instrorder.simulate import simulate
 
 # Mix two Lüders measurements 50/50, forwarding outcome x of either
 # component to the shared label x.

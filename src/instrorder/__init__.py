@@ -15,7 +15,6 @@ from .classify import (
     is_trash_and_prepare,
 )
 from .errors import (
-    CertificateMismatch,
     DimensionMismatch,
     InstrOrderError,
     InvalidParameters,
@@ -34,7 +33,6 @@ from .instrument import (
     QuantumOperation,
     State,
     apply,
-    choi,
     choi_distance,
     compose_post_processing,
     detailed_instrument,
@@ -101,7 +99,6 @@ from .simulate import (
     SimulationProgram,
     is_isometric_channel,
     isometric_channel,
-    simulate,
 )
 
 __version__ = "0.1.0"

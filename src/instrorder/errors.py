@@ -25,10 +25,6 @@ class UnknownLabel(InstrOrderError):
     """An outcome label is not present in the instrument or POVM."""
 
 
-class CertificateMismatch(InstrOrderError):
-    """A certificate does not reproduce the instrument it was issued for."""
-
-
 class NotIndecomposable(InstrOrderError):
     """The operation requires an indecomposable instrument."""
 

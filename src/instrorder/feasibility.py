@@ -10,7 +10,7 @@ columns of [A | I].
 Pricing is Dantzig's rule: the entering column has the most negative
 reduced cost, the first such column on a tie.  The leaving row is the
 stablest pivot among near-minimum ratios.  Neither rule is Bland's, so a
-degenerate vertex can cycle; max_iter then ends the search with
+degenerate vertex can cycle; _MAX_ITER pivots then end the search with
 SolverError.
 
 On the tableaux find_post_processing builds (about 20×30 to 80×130) a
@@ -38,14 +38,10 @@ import numpy as np
 from .errors import SolverError
 
 _PIVOT_TOL = 1e-11  # float64 rounding on the tableau's scale, not a Tolerance
+_MAX_ITER = 50_000  # pivots before SolverError, since the rules can cycle
 
 
-def solve_nonnegative(
-    A: np.ndarray,
-    b: np.ndarray,
-    feas_tol: float = 1e-9,
-    max_iter: int = 50_000,
-):
+def solve_nonnegative(A: np.ndarray, b: np.ndarray, feas_tol: float = 1e-9):
     """Return x ≥ 0 solving A x = b, or None when infeasible.
 
     The system counts as infeasible when the optimal phase-1 objective
@@ -70,7 +66,7 @@ def solve_nonnegative(
     cost = T[m, :n]  # views: the update below writes T in place
     rhs = T[:m, -1]
 
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if -T[m, -1] <= feas_tol:
             break  # already within tolerance; pivoting on leftover dust
             # would divide rounding noise by near-zero pivot elements

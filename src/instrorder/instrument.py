@@ -2,7 +2,7 @@
 
 Operations are stored in Kraus form; their Choi matrix is cached, and the
 Choi distance of two operations is read from their Kraus matrices without
-forming it (_choi_gap).  The Choi convention pairs the input index with the
+forming it (choi_distance).  The Choi convention pairs the input index with the
 row block: C = Σ_k vec(K_k) vec(K_k)† with vec(K)[i * dim_out + a] = K[a, i],
 so the identity channel has Choi Σ_ij |ii⟩⟨jj| and tracing out the output
 block returns the transposed induced effect.
@@ -158,10 +158,6 @@ class Instrument:
         return len(self.outcomes)
 
 
-def choi(op: QuantumOperation) -> np.ndarray:
-    return op.choi_matrix
-
-
 def _gram_gap(A: np.ndarray, B: np.ndarray) -> float:
     """‖AᵀĀ − BᵀB̄‖_F for row stacks A (k_a × D) and B (k_b × D): with the
     rows of each as the columns of W_a = Aᵀ and W_b = Bᵀ, the Frobenius
@@ -207,16 +203,12 @@ def _kraus_rows(ks: np.ndarray) -> np.ndarray:
     return ks.reshape(len(ks), ks.shape[1] * ks.shape[2])
 
 
-def _choi_gap(a: QuantumOperation, b: QuantumOperation) -> float:
+def choi_distance(a: QuantumOperation, b: QuantumOperation) -> float:
     """‖Choi(a) − Choi(b)‖_F without forming either Choi matrix (_gram_gap
     of their Kraus rows)."""
-    return _gram_gap(_kraus_rows(a.kraus), _kraus_rows(b.kraus))
-
-
-def choi_distance(a: QuantumOperation, b: QuantumOperation) -> float:
     if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
         raise DimensionMismatch("operations act between different spaces")
-    return _choi_gap(a, b)
+    return _gram_gap(_kraus_rows(a.kraus), _kraus_rows(b.kraus))
 
 
 def instrument_distance(I: Instrument, J: Instrument) -> float:

@@ -18,16 +18,21 @@ from .errors import DimensionMismatch, PreconditionViolated
 class Tolerance:
     """Numerical thresholds used throughout the library.
 
-    eq_abs: absolute Frobenius-norm threshold for operator equality.
-    rank_rel: relative singular-value cutoff for rank decisions.
+    eq_abs: absolute Frobenius-norm threshold for operator equality, in
+    (0, inf): an infinite threshold makes any two operators equal.
+    rank_rel: relative singular-value cutoff for rank decisions, in
+    (0, 1): at 1 or above every numerical rank is 0.
     """
 
     eq_abs: float = 1e-9
     rank_rel: float = 1e-8
 
     def __post_init__(self):
-        if not (self.eq_abs > 0 and self.rank_rel > 0):
-            raise ValueError("tolerance thresholds must be positive")
+        # written as ranges that hold, so that a NaN fails them
+        if not 0 < self.eq_abs < np.inf:
+            raise ValueError("eq_abs must be positive and finite")
+        if not 0 < self.rank_rel < 1:
+            raise ValueError("rank_rel must lie strictly between 0 and 1")
 
 
 DEFAULT_TOL = Tolerance()
@@ -43,10 +48,6 @@ def frob_dist(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(A) - np.asarray(B)))
 
 
-def dagger(M: np.ndarray) -> np.ndarray:
-    return np.asarray(M).conj().T
-
-
 def hermitize(M: np.ndarray) -> np.ndarray:
     """Hermitian part (M + M†)/2."""
     M = np.asarray(M)
@@ -54,15 +55,7 @@ def hermitize(M: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    return frob_dist(M, dagger(M)) <= tol.eq_abs
-
-
-def is_psd(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Hermitian with eigenvalues ≥ -eq_abs."""
-    if not is_hermitian(M, tol):
-        return False
-    w = np.linalg.eigvalsh(hermitize(M))
-    return bool(w.min(initial=0.0) >= -tol.eq_abs)
+    return frob_dist(M, np.asarray(M).conj().T) <= tol.eq_abs
 
 
 def numerical_rank(M: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -128,7 +121,7 @@ def partial_isometry_factor(
         )
     if c <= 0:
         raise PreconditionViolated("proportionality constant must be positive")
-    gap = frob_dist(dagger(K) @ K, c * (dagger(L) @ L))
+    gap = frob_dist(K.conj().T @ K, c * (L.conj().T @ L))
     if gap > tol.eq_abs:
         raise PreconditionViolated(
             f"Gram matrices are not proportional: ||K†K - c·L†L|| = {gap:.3e}"

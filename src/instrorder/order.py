@@ -23,7 +23,9 @@ witnesses and the Lüders refinement are both built this way.
 
 instrument_equivalence picks the route for an equivalence question: the
 induced POVMs of indecomposable instruments, or a stochastic matrix between
-the measurements of measure-and-prepare ones.
+the measurements of measure-and-prepare ones.  It tests each instrument once
+per route, then builds the witnesses of witness_indecomposable_equivalence
+or witness_map_post_processing without repeating their checks.
 """
 
 from __future__ import annotations
@@ -33,13 +35,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
-    certificate_error,
     identity_class_certificate,
     is_indecomposable_instrument,
     is_measure_and_prepare,
 )
 from .errors import (
-    CertificateMismatch,
     DimensionMismatch,
     LabelMismatch,
     NotIndecomposable,
@@ -209,19 +209,15 @@ def witness_original_to_detailed(I: Instrument, tol: Tolerance = DEFAULT_TOL):
     return _checked(I, processors, detailed, tol)
 
 
-def witness_identity_reversal(
-    I: Instrument, cert=None, tol: Tolerance = DEFAULT_TOL
-) -> InstrumentWitness:
-    """Channels R^(x) with Σ_x R^(x) ∘ I_x = identity, from an
-    identity-class certificate: R^(x) applies the adjoints of the branch
+def witness_identity_reversal(I: Instrument, tol: Tolerance = DEFAULT_TOL) -> InstrumentWitness:
+    """Channels R^(x) with Σ_x R^(x) ∘ I_x = identity, from I's
+    identity-class certificate (identity_class_certificate, which has
+    checked it against I): R^(x) applies the adjoints of the branch
     isometries, closed by _closed_processor, which funnels the remaining
     output subspace into the first basis state of the input space."""
-    if cert is None:  # identity_class_certificate has checked its own
-        cert = identity_class_certificate(I, tol)
-        if cert is None:
-            raise PreconditionViolated("instrument is not in the identity class")
-    elif not certificate_error(I, cert) <= tol.eq_abs:  # so that a NaN error fails
-        raise CertificateMismatch("certificate does not reproduce the instrument")
+    cert = identity_class_certificate(I, tol)
+    if cert is None:
+        raise PreconditionViolated("instrument is not in the identity class")
     processors = {
         x: _closed_processor({"0": [V.conj().T for _, V in cert.branches[x]]}, I.dim_out, I.dim_in)
         for x in I.labels
@@ -230,12 +226,12 @@ def witness_identity_reversal(
 
 
 def witness_to_trash_and_prepare(
-    I: Instrument, p, states, labels=None, tol: Tolerance = DEFAULT_TOL
+    I: Instrument, p, states, tol: Tolerance = DEFAULT_TOL
 ) -> InstrumentWitness:
     """Witness from any instrument to the trash-and-prepare target given by
     (p, states): every outcome gets the same trash-and-prepare processor."""
-    target = trash_and_prepare(p, states, dim_in=I.dim_in, labels=labels)
-    template = trash_and_prepare(p, states, dim_in=I.dim_out, labels=labels)
+    target = trash_and_prepare(p, states, dim_in=I.dim_in)
+    template = trash_and_prepare(p, states, dim_in=I.dim_out)
     processors = {x: template for x in I.labels}
     return _checked(I, processors, target, tol)
 
@@ -271,6 +267,10 @@ def witness_indecomposable_equivalence(
         raise NotIndecomposable("second instrument has a Choi rank above one")
     if I.dim_in != J.dim_in:
         raise DimensionMismatch("instruments measure different input spaces")
+    return _indecomposable_witness(I, J, tol)
+
+
+def _indecomposable_witness(I: Instrument, J: Instrument, tol: Tolerance):
     eq = povm_equivalent(induced_povm(I), induced_povm(J), tol)
     if eq is None:
         return None
@@ -300,14 +300,14 @@ def witness_map_post_processing(I: Instrument, J: Instrument, tol: Tolerance = D
 def instrument_equivalence(I: Instrument, J: Instrument, tol: Tolerance = DEFAULT_TOL):
     """(method, forward, backward) for the equivalence of I and J, which
     holds exactly when both witnesses are present.  method is the first
-    route that applies to both: "indecomposable"
-    (witness_indecomposable_equivalence), "measure_and_prepare"
+    route that applies to both: "indecomposable" (the witnesses of
+    witness_indecomposable_equivalence), "measure_and_prepare"
     (witness_map_post_processing each way, each instrument tested once), or
     "none", with no witnesses."""
     if I.dim_in != J.dim_in:
         raise DimensionMismatch("instruments measure different input spaces")
     if is_indecomposable_instrument(I, tol) and is_indecomposable_instrument(J, tol):
-        eq = witness_indecomposable_equivalence(I, J, tol)
+        eq = _indecomposable_witness(I, J, tol)
         return ("indecomposable",) + ((None, None) if eq is None else (eq.forward, eq.backward))
     cert_i = is_measure_and_prepare(I, tol)
     cert_j = is_measure_and_prepare(J, tol)

@@ -68,14 +68,14 @@ class Document:
     version: int = VERSION
 
 
-def _require_keys(obj, where, required, optional=()):
+def _require_keys(obj, where, required):
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object")
     for key in required:
         if key not in obj:
             raise ParseError(f"{where}: missing field '{key}'")
     for key in obj:
-        if key not in required and key not in optional:
+        if key not in required:
             raise ParseError(f"{where}: unknown field '{key}'")
 
 

@@ -21,7 +21,6 @@ from instrorder import (
     QuantumOperation,
     apply_post_processing,
     check_povm_necessary_condition,
-    choi,
     compose_post_processing,
     detailed_instrument,
     find_post_processing,
@@ -229,7 +228,7 @@ def test_acceptance_4_identity_class_membership():
         if cert is None:
             accept_failures.append(("no certificate", seed))
             continue
-        w = witness_identity_reversal(I, cert)
+        w = witness_identity_reversal(I)
         gap = instrument_distance(replay_witness(I, w), identity_instrument(I.dim_in))
         if not gap <= REPLAY_TOL:
             accept_failures.append(("reversal gap", seed, gap))
@@ -375,7 +374,7 @@ def _oracle_extreme(I, rank_rel=1e-8):
     matrix, then pivoted-QR rank of the stacked products K_i† K_j."""
     rows = []
     for op in I.operations:
-        C = choi(op)
+        C = op.choi_matrix
         if np.trace(C).real <= 1e-12:
             continue
         U, s, _ = scipy.linalg.svd(C)
@@ -448,7 +447,7 @@ def test_acceptance_9_round_trip_and_cli_examples(tmp_path):
             save(document_for(I), path)
             J = load(path).payload
             gap = max(
-                frob_dist(choi(I.operation(x)), choi(J.operation(x))) for x in I.labels
+                frob_dist(I.operation(x).choi_matrix, J.operation(x).choi_matrix) for x in I.labels
             )
         else:
             s = random_state(1 + seed % 4, seed)

@@ -14,7 +14,6 @@ from instrorder import (
     Povm,
     QuantumOperation,
     SimulationProgram,
-    choi,
     detailed_instrument,
     induced_povm,
     load,
@@ -24,7 +23,6 @@ from instrorder import (
     random_povm,
     random_state,
     save,
-    simulate,
     State,
     is_trash_and_prepare,
     trash_and_prepare,
@@ -34,6 +32,7 @@ from instrorder import (
 )
 from instrorder import classify, cli, order, serialize
 from instrorder.cli import main
+from instrorder.simulate import simulate
 from instrorder.errors import SolverError
 from instrorder.linalg import DEFAULT_TOL
 from instrorder.povm import proportional_inequivalent_pair
@@ -264,7 +263,7 @@ def test_compose_command_recovers_source(tmp_path):
     J = load(out).payload
     assert J.labels == I.labels
     for x in I.labels:
-        assert np.abs(choi(J.operation(x)) - choi(I.operation(x))).max() < 1e-12
+        assert np.abs(J.operation(x).choi_matrix - I.operation(x).choi_matrix).max() < 1e-12
 
 
 def test_simulate_command(tmp_path):
@@ -279,7 +278,7 @@ def test_simulate_command(tmp_path):
     got = load(out).payload
     want = simulate(prog)
     for x in want.labels:
-        assert np.abs(choi(got.operation(x)) - choi(want.operation(x))).max() < 1e-12
+        assert np.abs(got.operation(x).choi_matrix - want.operation(x).choi_matrix).max() < 1e-12
 
 
 def _malformed_list_case(tmp_path, command):
@@ -367,6 +366,25 @@ def test_equiv_tests_each_measure_and_prepare_instrument_once(tmp_path, capsys, 
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("tol_eq", ["inf", "nan"])
+def test_equiv_rejects_a_tolerance_that_decides_nothing(tmp_path, capsys, tol_eq):
+    P, Q = random_povm(2, 2, 61), random_povm(2, 3, 62)
+    out = tmp_path / "rep.json"
+    argv = ["equiv", "--json", "--tol-eq", tol_eq, _write(tmp_path, "p.json", P), _write(tmp_path, "q.json", Q)]
+    assert main(argv + ["--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: eq_abs must be positive and finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol_rank", ["1", "5"])
+def test_classify_rejects_a_rank_cutoff_that_decides_nothing(tmp_path, capsys, tol_rank):
+    R = _write(tmp_path, "r.json", random_instrument(2, 2, 2, 2, 63))
+    assert main(["classify", "--tol-rank", tol_rank, R]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: rank_rel must lie strictly between 0 and 1\n"
+
+
 def test_equiv_accepts_relabeled_povm(tmp_path, capsys):
     P = random_povm(3, 2, 11)
     Q = Povm(2, [(l + "x", E) for l, E in P.outcomes])
@@ -419,7 +437,7 @@ def test_equiv_witness_states_the_target_choi_matrices(tmp_path, capsys):
     assert main(["equiv", a, a, "--output", str(out)]) == 0
     w = witness_indecomposable_equivalence(L, L).forward
     stated = InstrumentWitness(
-        w.source_labels, w.processors, {y: choi(op) for y, op in L.outcomes}
+        w.source_labels, w.processors, {y: op.choi_matrix for y, op in L.outcomes}
     )
     save(document_for(stated), tmp_path / "stated.json")
     assert out.read_bytes() == (tmp_path / "stated.json").read_bytes()
@@ -449,7 +467,7 @@ def test_equiv_solver_failure_exits_4(tmp_path, capsys, monkeypatch):
     def fail(*args):
         raise SolverError("witness replay missed its target by 1e-3")
 
-    monkeypatch.setattr(order, "witness_indecomposable_equivalence", fail)
+    monkeypatch.setattr(order, "_indecomposable_witness", fail)
     L = _write(tmp_path, "l.json", luders(basis_pvm(2)))
     assert main(["equiv", L, L]) == 4
     assert "missed its target" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from instrorder import Povm, apply_post_processing, povm, random_povm
+from instrorder import Povm, apply_post_processing, feasibility, povm, random_povm
 from instrorder.errors import SolverError
 from instrorder.feasibility import solve_nonnegative
 from instrorder.randgen import _gaussians, _uniforms
@@ -98,10 +98,11 @@ def test_single_variable():
     assert solve_nonnegative(A, np.array([1.0, 3.0])) is None
 
 
-def test_iteration_limit_raises_solver_error():
+def test_iteration_limit_raises_solver_error(monkeypatch):
+    monkeypatch.setattr(feasibility, "_MAX_ITER", 0)
     A = np.array([[1.0, 2.0], [3.0, 1.0]])
     with pytest.raises(SolverError):
-        solve_nonnegative(A, A @ np.array([0.5, 0.25]), max_iter=0)
+        solve_nonnegative(A, A @ np.array([0.5, 0.25]))
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from instrorder import (
     UnknownLabel,
     apply,
     apply_post_processing,
-    choi,
     choi_distance,
     compose_post_processing,
     detailed_instrument,
@@ -45,7 +44,6 @@ from instrorder import (
     zero_operation,
 )
 from instrorder.instrument import (
-    _choi_gap,
     _state_matrix,
     check_weights,
     complete_channel,
@@ -147,7 +145,7 @@ def test_induced_povm_of_measure_and_prepare():
 
 
 def test_choi_of_identity():
-    C = choi(identity_instrument(2).operation("0"))
+    C = identity_instrument(2).operation("0").choi_matrix
     expected = np.zeros((4, 4), dtype=complex)
     for i in range(2):
         for j in range(2):
@@ -157,7 +155,7 @@ def test_choi_of_identity():
 
 
 def test_choi_of_depolarizing():
-    C = choi(depolarizing_channel().operation("0"))
+    C = depolarizing_channel().operation("0").choi_matrix
     # oracle: independent spectral decomposition
     w = np.linalg.eigvalsh(C)
     assert np.allclose(w, 0.5)
@@ -175,7 +173,7 @@ def test_minimal_kraus_collapses_duplicates():
 def test_minimal_kraus_counts_choi_rank():
     op = depolarizing_channel().operation("0")
     m = minimal_kraus(op)
-    assert len(m.kraus) == numerical_rank(choi(op)) == 4
+    assert len(m.kraus) == numerical_rank(op.choi_matrix) == 4
     assert choi_distance(op, m) < 1e-12
 
 
@@ -402,8 +400,8 @@ def test_mix_choi_additivity():
     p = random_distribution(3, seed=19)
     M = mix(parts, p)
     for x in M.labels:
-        expected = sum(pi * choi(c.operation(x)) for pi, c in zip(p, parts))
-        assert frob_dist(choi(M.operation(x)), expected) < 1e-13
+        expected = sum(pi * c.operation(x).choi_matrix for pi, c in zip(p, parts))
+        assert frob_dist(M.operation(x).choi_matrix, expected) < 1e-13
 
 
 def test_mix_pads_missing_outcomes_with_zero():
@@ -691,10 +689,10 @@ def test_choi_gap_matches_the_dense_choi_distance(d_in, d_out, k_a, k_b, relatio
     a, b = _gap_operands(d_in, d_out, k_a, k_b, relation, scale, seed)
     Ca, Cb = a.choi_matrix, b.choi_matrix
     dense = frob_dist(Ca, Cb)
-    assert abs(_choi_gap(a, b) - dense) <= 1e-13 * (1.0 + frob(Ca) + frob(Cb))
-    assert _choi_gap(b, a) == pytest.approx(_choi_gap(a, b), rel=1e-12, abs=1e-13 * (1.0 + frob(Ca)))
+    assert abs(choi_distance(a, b) - dense) <= 1e-13 * (1.0 + frob(Ca) + frob(Cb))
+    assert choi_distance(b, a) == pytest.approx(choi_distance(a, b), rel=1e-12, abs=1e-13 * (1.0 + frob(Ca)))
     if relation == "equal":
-        assert _choi_gap(a, b) == 0.0
+        assert choi_distance(a, b) == 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -705,7 +703,7 @@ def test_choi_gap_of_a_non_finite_operation_is_nan(bad, dim):
     K[1, 0] = bad
     b = QuantumOperation(dim, dim, [K])
     with np.errstate(invalid="ignore"):
-        assert np.isnan(_choi_gap(a, b)) and np.isnan(_choi_gap(b, a))
+        assert np.isnan(choi_distance(a, b)) and np.isnan(choi_distance(b, a))
 
 
 def assert_same_bytes(I, J):

@@ -15,7 +15,6 @@ from instrorder.linalg import (
     frob_dist,
     hermitize,
     is_hermitian,
-    is_psd,
     numerical_rank,
     psd_sqrt,
     range_projector,
@@ -37,12 +36,22 @@ def test_tolerance_requires_positive_thresholds():
     assert t.eq_abs == 1e-6 and t.rank_rel == 1e-5
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"eq_abs": np.inf}, {"eq_abs": np.nan}, {"rank_rel": np.nan}, {"rank_rel": 1.0}, {"rank_rel": 5.0}],
+    ids=["eq_abs-inf", "eq_abs-nan", "rank_rel-nan", "rank_rel-1", "rank_rel-5"],
+)
+def test_tolerance_rejects_thresholds_that_decide_nothing(kwargs):
+    # an infinite eq_abs makes any two operators equal; a rank_rel of 1 or
+    # more makes every numerical rank 0
+    with pytest.raises(ValueError):
+        Tolerance(**kwargs)
+
+
 def test_hermitian_psd_basics():
     H = np.array([[1.0, 2.0j], [-2.0j, 3.0]])
     assert is_hermitian(H)
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert is_psd(np.eye(2))
-    assert not is_psd(np.diag([1.0, -0.5]))
     M = _random_complex(3, 3, 5)
     assert is_hermitian(hermitize(M))
     r = psd_sqrt(hermitize(M @ M.conj().T))

@@ -18,7 +18,6 @@ from instrorder import (
     Povm,
     QuantumOperation,
     SimulationProgram,
-    choi,
     detailed_instrument,
     load,
     luders,
@@ -59,8 +58,8 @@ def test_instrument_round_trip_choi_exact(tmp_path):
         assert J.dim_in == I.dim_in and J.dim_out == I.dim_out
         assert J.labels == I.labels
         for x in I.labels:
-            C1 = choi(I.operation(x))
-            C2 = choi(J.operation(x))
+            C1 = I.operation(x).choi_matrix
+            C2 = J.operation(x).choi_matrix
             assert np.abs(C1 - C2).max() < 1e-15
 
 
@@ -94,7 +93,7 @@ def test_witness_round_trip(tmp_path):
         assert a.labels == b.labels
         for y in a.labels:
             assert np.array_equal(
-                choi(a.operation(y)), choi(b.operation(y))
+                a.operation(y).choi_matrix, b.operation(y).choi_matrix
             )
     for y in w.target_labels:
         assert np.array_equal(w.target.operation(y).choi_matrix, v.target[y])

@@ -19,11 +19,11 @@ from instrorder import (
     random_instrument,
     random_isometry,
     random_state,
-    simulate,
     trash_and_prepare,
     validate_instrument,
     witness_identity_reversal,
 )
+from instrorder.simulate import simulate
 
 from helpers import basis_pvm, random_identity_class_instrument, simulate_direct
 
