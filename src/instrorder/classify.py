@@ -9,6 +9,7 @@ orthogonal isometries I_x(rho) = Σ_i p_xi V_xi rho V_xi†.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .instrument import (
     partial_trace_input,
     partial_trace_output,
 )
-from .linalg import DEFAULT_TOL, Tolerance, frob_dist, hermitize, numerical_rank
+from .linalg import DEFAULT_TOL, Tolerance, frob, frob_dist, hermitize, numerical_rank
 from .povm import Povm, is_trivial
 
 
@@ -88,10 +89,10 @@ def identity_class_certificate(I: Instrument, tol: Tolerance = DEFAULT_TOL):
     """Decompose each operation as Σ_i p_xi V_xi rho V_xi† with isometries
     that are mutually orthogonal within the outcome, or return None.
 
-    The test runs on the minimal Kraus matrices A_i of each operation: the
-    decomposition exists iff every A_i'† A_i is a multiple β_i'i of the
-    identity; diagonalizing β = W diag(γ) W† and combining C_k = Σ_i W_ik A_i
-    yields the branches p_k = γ_k, V_k = C_k / √γ_k.
+    The test runs on the minimal Kraus matrices A_i of each operation, which
+    a thin SVD makes Hilbert–Schmidt orthogonal: the decomposition exists
+    iff A_i† A_i = γ_i I with γ_i = ‖A_i‖²_F / dim_in and A_i† A_j = 0 for
+    i < j.  Branch i is then p_i = γ_i, V_i = A_i / √γ_i.
     """
     d_in, d_out = I.dim_in, I.dim_out
     if d_out < d_in:
@@ -103,25 +104,15 @@ def identity_class_certificate(I: Instrument, tol: Tolerance = DEFAULT_TOL):
             branches[label] = []
             continue
         A = minimal_kraus(op, tol).kraus
-        n = len(A)
-        beta = np.zeros((n, n), dtype=complex)
-        for i2 in range(n):
-            for i in range(n):
-                P = A[i2].conj().T @ A[i]
-                s = np.trace(P) / d_in
-                if frob_dist(P, s * eye) > tol.eq_abs:
-                    return None
-                beta[i2, i] = s
-        gamma, W = np.linalg.eigh(hermitize(beta))
         entries = []
-        top = gamma.max(initial=0.0)
-        for k in range(n - 1, -1, -1):
-            if gamma[k] <= tol.rank_rel * top:
-                continue
-            C = np.zeros((d_out, d_in), dtype=complex)
-            for i in range(n):
-                C += W[i, k] * A[i]
-            entries.append((float(gamma[k]), C / np.sqrt(gamma[k])))
+        for K in A:
+            P = K.conj().T @ K
+            gamma = np.trace(P).real / d_in
+            if frob_dist(P, gamma * eye) > tol.eq_abs:
+                return None
+            entries.append((float(gamma), K / np.sqrt(gamma)))
+        if not _pairwise_orthogonal(A, tol):
+            return None
         branches[label] = entries
     cert = IdentityClassCertificate(d_in, d_out, branches)
     if not certificate_error(I, cert) <= tol.eq_abs:  # so that a NaN error fails
@@ -130,6 +121,11 @@ def identity_class_certificate(I: Instrument, tol: Tolerance = DEFAULT_TOL):
     if abs(total - 1.0) > tol.eq_abs:
         return None
     return cert
+
+
+def _pairwise_orthogonal(ks, tol: Tolerance) -> bool:
+    """True when K_i† K_j vanishes within tol.eq_abs for every i < j."""
+    return all(frob(Ki.conj().T @ Kj) <= tol.eq_abs for Ki, Kj in combinations(ks, 2))
 
 
 def certificate_error(I: Instrument, cert: IdentityClassCertificate) -> float:

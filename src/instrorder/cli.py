@@ -45,7 +45,12 @@ from .simulate import is_isometric_channel, simulate
 
 
 def _tol(args) -> Tolerance:
-    return Tolerance(eq_abs=args.tol_eq, rank_rel=args.tol_rank)
+    """The Tolerance of --tol-eq and --tol-rank; a bad value is reported
+    with the flag's name in place of the field's."""
+    try:
+        return Tolerance(eq_abs=args.tol_eq, rank_rel=args.tol_rank)
+    except ValueError as exc:
+        raise ValueError(str(exc).replace("eq_abs", "--tol-eq").replace("rank_rel", "--tol-rank")) from None
 
 
 def _tol_report(tol: Tolerance) -> dict:

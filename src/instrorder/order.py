@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import (
+    _pairwise_orthogonal,
     identity_class_certificate,
     is_indecomposable_instrument,
     is_measure_and_prepare,
@@ -193,12 +194,8 @@ def witness_original_to_detailed(I: Instrument, tol: Tolerance = DEFAULT_TOL):
     per_src = {}
     for pl, src, K in branches:
         per_src.setdefault(src, []).append((pl, K))
-    for ks in per_src.values():
-        for i in range(len(ks)):
-            for j in range(i + 1, len(ks)):
-                gap = frob_dist(ks[i][1].conj().T @ ks[j][1], np.zeros((I.dim_in, I.dim_in)))
-                if gap > tol.eq_abs:
-                    return None
+    if not all(_pairwise_orthogonal([K for _, K in ks], tol) for ks in per_src.values()):
+        return None
     detailed = detailed_instrument(I, tol)
     processors = {}
     for x in I.labels:

@@ -325,9 +325,12 @@ def is_indecomposable_povm(A: Povm, tol: Tolerance = DEFAULT_TOL) -> bool:
 def minimal_sufficient(A: Povm, tol: Tolerance = DEFAULT_TOL):
     """Drop vanishing effects and merge pairwise-proportional ones.
 
-    Returns (reduced POVM, Grouping).  Proportionality is tested on
-    trace-normalized effects; merged classes keep the label of their first
-    member, and weights record each member's share of the class effect.
+    Returns (reduced POVM, Grouping).  An effect whose trace is at most
+    tol.eq_abs is dropped (a NaN trace is kept).  Proportionality is tested
+    on trace-normalized effects and chains: a≈b and b≈c put a, b and c in
+    one class even when a≉c.  Classes come in order of their first member
+    and keep its label; weights record each member's share of the class
+    effect.
     """
     kept = []
     dropped = []
@@ -337,43 +340,25 @@ def minimal_sufficient(A: Povm, tol: Tolerance = DEFAULT_TOL):
         else:
             kept.append((label, E))
 
-    n = len(kept)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     normed = [E / np.trace(E).real for _, E in kept]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if frob_dist(normed[i], normed[j]) <= tol.eq_abs:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+    first = list(range(len(kept)))  # first[i]: the first member of i's class
+    for i in range(len(kept)):
+        for j in range(i + 1, len(kept)):
+            if first[i] != first[j] and frob_dist(normed[i], normed[j]) <= tol.eq_abs:
+                lo, hi = sorted((first[i], first[j]))
+                first = [lo if f == hi else f for f in first]
 
-    members = {}
-    roots = []
-    for i in range(n):
-        r = find(i)
-        if r not in members:
-            members[r] = []
-            roots.append(r)
-        members[r].append(i)
-
+    classes = {}
+    for f, member in zip(first, kept):
+        classes.setdefault(f, []).append(member)
     outcomes = []
     class_of = {}
     weights = {}
-    for r in roots:
-        class_label = kept[r][0]
-        total = np.zeros((A.dim, A.dim), dtype=complex)
-        for i in members[r]:
-            total += kept[i][1]
+    for members in classes.values():
+        class_label = members[0][0]
+        total = sum((E for _, E in members), np.zeros((A.dim, A.dim), dtype=complex))
         class_trace = np.trace(total).real
-        for i in members[r]:
-            label, E = kept[i]
+        for label, E in members:
             class_of[label] = class_label
             weights[label] = np.trace(E).real / class_trace
         outcomes.append((class_label, total))
@@ -381,13 +366,14 @@ def minimal_sufficient(A: Povm, tol: Tolerance = DEFAULT_TOL):
 
 
 def povm_equivalent(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
-    """Decide post-processing equivalence by matching minimally sufficient forms.
+    """Decide post-processing equivalence by pairing minimally sufficient forms.
 
-    Returns (nu, mu) where nu turns B into A and mu turns A into B, both
-    supported only where effects are proportional, or None when the reduced
-    POVMs are not a relabeling of each other.  Rows belonging to vanishing
-    effects distribute their unit mass uniformly; this never affects the
-    reconstruction.
+    Returns (nu, mu) where nu turns B into A and mu turns A into B, or None
+    when the reduced POVMs are not a relabeling of each other: each class of
+    A takes the first unpaired class of B within tol.eq_abs.  An entry is
+    the column outcome's weight in its class where the row's class is paired
+    with it, else 0.  Rows belonging to vanishing effects distribute their
+    unit mass uniformly; this never affects the reconstruction.
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"POVMs act on different spaces: {A.dim} vs {B.dim}")
@@ -396,43 +382,32 @@ def povm_equivalent(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
     if len(red_a) != len(red_b):
         return None
 
-    match = {}
-    used = set()
-    for la, Ea in red_a.outcomes:
-        hit = None
-        for lb, Eb in red_b.outcomes:
-            if lb in used:
-                continue
-            if frob_dist(Ea, Eb) <= tol.eq_abs:
-                hit = lb
-                break
+    paired = {}  # class label of B -> number of the class of A paired with it
+    for i, Ea in enumerate(red_a.effects):
+        unpaired = (lb for lb, Eb in red_b.outcomes if lb not in paired and frob_dist(Ea, Eb) <= tol.eq_abs)
+        hit = next(unpaired, None)
         if hit is None:
             return None
-        match[la] = hit
-        used.add(hit)
-    inverse = {lb: la for la, lb in match.items()}
+        paired[hit] = i
 
-    def build(rows, cols, grp_rows, grp_cols, pair):
-        # entry[y, x] = weight of x inside its class, placed on every row y
-        # of the matched class; vanished rows get spread uniformly.
-        out = np.zeros((len(rows), len(cols)))
-        for xi, x in enumerate(cols):
-            if x in grp_cols.dropped:
-                continue
-            target_class = pair[grp_cols.class_of[x]]
-            for yi, y in enumerate(rows):
-                if y in grp_rows.dropped:
-                    continue
-                if grp_rows.class_of[y] == target_class:
-                    out[yi, xi] = grp_cols.weights[x]
-        for yi, y in enumerate(rows):
-            if y in grp_rows.dropped:
-                out[yi, :] = 1.0 / len(cols)
-        return out
-
-    nu = _replayed(B, A, build(B.labels, A.labels, grp_b, grp_a, match), tol)
-    mu = _replayed(A, B, build(A.labels, B.labels, grp_a, grp_b, inverse), tol)
+    # Each outcome's class as the number of A's class; -1 for a vanishing effect.
+    number = first_index(red_a.labels)
+    cls_a = [number.get(grp_a.class_of.get(l), -1) for l in A.labels]
+    cls_b = [paired.get(grp_b.class_of.get(l), -1) for l in B.labels]
+    w_a = [grp_a.weights.get(l, 0.0) for l in A.labels]
+    w_b = [grp_b.weights.get(l, 0.0) for l in B.labels]
+    nu = _replayed(B, A, _class_weights(cls_b, cls_a, w_a), tol)
+    mu = _replayed(A, B, _class_weights(cls_a, cls_b, w_b), tol)
     return None if nu is None or mu is None else (nu, mu)
+
+
+def _class_weights(rows, cols, col_weights) -> np.ndarray:
+    """Entries [y, x] = col_weights[x] where row y and column x lie in the
+    same class, else 0; a row in class -1 (a vanishing effect) is uniform."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    out = np.where(rows[:, None] == cols, col_weights, 0.0)
+    out[rows < 0] = 1.0 / max(len(cols), 1)  # no columns: nothing to spread
+    return out
 
 
 def proportional_inequivalent_pair():

@@ -65,7 +65,6 @@ VERSION = 1
 class Document:
     kind: str
     payload: object
-    version: int = VERSION
 
 
 def _require_keys(obj, where, required):
@@ -397,7 +396,7 @@ def _dumps(doc: Document) -> bytes:
     """The document's compact JSON text and a newline, as UTF-8 bytes."""
     if doc.kind not in _FORMATS:
         raise ValueError(f"unknown document kind {doc.kind!r}")
-    body = {"kind": doc.kind, "version": doc.version, **_FORMATS[doc.kind][1](doc.payload)}
+    body = {"kind": doc.kind, "version": VERSION, **_FORMATS[doc.kind][1](doc.payload)}
     # orjson writes NaN and infinities as null.
     bad = _non_finite(body)
     if bad is not None:

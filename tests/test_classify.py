@@ -19,6 +19,7 @@ from instrorder import (
     luders,
     max_effect_distance,
     measure_and_prepare,
+    minimal_kraus,
     pair_label,
     random_distribution,
     random_instrument,
@@ -160,6 +161,22 @@ def test_identity_certificate_on_orthogonal_branch_constructions():
         assert certificate_error(I, cert) < 1e-9
         total = sum(w for entry in cert.branches.values() for w, _ in entry)
         assert abs(total - 1.0) < 1e-10
+
+
+def test_identity_certificate_branches_are_the_minimal_kraus_matrices():
+    # two branches of equal weight: each branch is one minimal Kraus matrix
+    # K scaled to an isometry by its weight ‖K‖²_F / dim_in, in minimal_kraus
+    # order, with no phase or rotation among the equal-weight branches
+    W = random_isometry(4, 4, seed=15)
+    op = QuantumOperation(2, 4, [W[:, :2] / np.sqrt(2.0), W[:, 2:] / np.sqrt(2.0)])
+    cert = identity_class_certificate(Instrument(2, 4, [("0", op)]))
+    assert cert is not None
+    kraus = minimal_kraus(op).kraus
+    assert len(cert.branches["0"]) == len(kraus) == 2
+    for (w, V), K in zip(cert.branches["0"], kraus):
+        assert abs(w - 0.5) < 1e-15
+        assert abs(w - np.vdot(K, K).real / 2) < 1e-15
+        assert np.array_equal(V, K / np.sqrt(w))
 
 
 def test_extreme_isometric_channel():

@@ -373,7 +373,7 @@ def test_equiv_rejects_a_tolerance_that_decides_nothing(tmp_path, capsys, tol_eq
     argv = ["equiv", "--json", "--tol-eq", tol_eq, _write(tmp_path, "p.json", P), _write(tmp_path, "q.json", Q)]
     assert main(argv + ["--output", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: eq_abs must be positive and finite\n"
+    assert captured.out == "" and captured.err == "error: --tol-eq must be positive and finite\n"
     assert not out.exists()
 
 
@@ -382,7 +382,7 @@ def test_classify_rejects_a_rank_cutoff_that_decides_nothing(tmp_path, capsys, t
     R = _write(tmp_path, "r.json", random_instrument(2, 2, 2, 2, 63))
     assert main(["classify", "--tol-rank", tol_rank, R]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: rank_rel must lie strictly between 0 and 1\n"
+    assert captured.out == "" and captured.err == "error: --tol-rank must lie strictly between 0 and 1\n"
 
 
 def test_equiv_accepts_relabeled_povm(tmp_path, capsys):

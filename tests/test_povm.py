@@ -416,6 +416,27 @@ def test_minimal_sufficient_drops_zero_effects():
     assert len(R) == 1  # both halves of identity merge
 
 
+@pytest.mark.parametrize("order", [("a", "b", "c"), ("a", "c", "b"), ("c", "a", "b")])
+def test_minimal_sufficient_merges_a_chain(order):
+    # b is within eq_abs of a and of c after trace normalization, a is not
+    # within eq_abs of c; b links them wherever it stands, and the class
+    # keeps the label of its first member
+    E = np.diag([0.3, 0.2]).astype(complex)
+    D = 3e-10 * np.diag([1.0, -1.0])
+    chain = {"a": E, "b": E + D, "c": E + 2 * D}
+    normed = {x: M / np.trace(M).real for x, M in chain.items()}
+    assert frob_dist(normed["a"], normed["b"]) <= DEFAULT_TOL.eq_abs
+    assert frob_dist(normed["b"], normed["c"]) <= DEFAULT_TOL.eq_abs
+    assert frob_dist(normed["a"], normed["c"]) > DEFAULT_TOL.eq_abs
+    A = Povm(2, [(x, chain[x]) for x in order] + [("r", np.eye(2) - sum(chain.values()))])
+    R, g = minimal_sufficient(A)
+    assert R.labels == [order[0], "r"]
+    assert g.class_of == {order[0]: order[0], order[1]: order[0], order[2]: order[0], "r": "r"}
+    assert frob_dist(R.effect(order[0]), sum(chain.values())) < 1e-15
+    assert abs(sum(g.weights[x] for x in order) - 1.0) < 1e-15
+    assert not g.dropped
+
+
 def test_minimal_sufficient_idempotent_and_reconstructs():
     for seed in range(40):
         A = random_povm(2 + seed % 4, 2 + seed % 3, seed)
@@ -461,6 +482,19 @@ def test_equivalent_after_outcome_split():
     nu, mu = out
     assert max_effect_distance(apply_post_processing(B, nu), A) < 1e-9
     assert max_effect_distance(apply_post_processing(A, mu), B) < 1e-9
+
+
+def test_equivalence_spreads_a_vanishing_outcome_uniformly():
+    # nu's rows are B's outcomes and mu's are A's: the row of a vanishing
+    # effect carries no information, so its mass is spread over every column
+    A = random_povm(3, 2, seed=14)
+    B = Povm(2, [("z", np.zeros((2, 2)))] + [(x + "b", E) for x, E in A.outcomes])
+    nu, mu = povm_equivalent(A, B)
+    assert np.array_equal(nu.entries[0], np.full(len(A), 1.0 / len(A)))
+    assert np.array_equal(nu.entries[1:], np.eye(len(A)))
+    assert np.array_equal(mu.entries, np.eye(len(A), len(B), 1))
+    mu2, nu2 = povm_equivalent(B, A)
+    assert np.array_equal(mu2.entries, mu.entries) and np.array_equal(nu2.entries, nu.entries)
 
 
 def test_equivalence_rejects_weight_mismatch():
