@@ -5,7 +5,9 @@ parse error (equiv also exits 2 on an input that fails validation, naming
 its violations, and on instruments that measure different input spaces),
 3 question undecidable by the implemented methods, 4 internal failure: a
 solver error or any other unexpected exception (no answer was reached, so
-neither "yes" nor "no").  Reports are JSON with --json and short
+neither "yes" nor "no"), 141 standard output closed by its reader (128 +
+SIGPIPE, as for a command that SIGPIPE ends; nothing is printed, not even
+to standard error).  Reports are JSON with --json and short
 human-readable lines otherwise; object-producing commands write a document
 with --output.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import traceback
 
@@ -335,6 +338,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point the standard output's descriptor at the null device, so that
+    the flush at interpreter exit cannot fail on a closed pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file descriptor: nothing is flushed at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -342,7 +357,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        _discard_stdout()
+        return 141
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -223,6 +223,10 @@ def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
     together, and the dropped block's replay residual is minus their sum.
     So every replayed effect misses B by at most max(1, max_x ‖A(x)‖_F)
     times the objective, and feas_tol is tol.eq_abs divided by that factor.
+    Leaving the last block out also makes each nu_{x, n_b−1} a column with
+    a single 1, in row x's row sum: the simplex starts it basic there, so
+    the n_a row-sum rows start feasible and only the (n_b − 1)·r block rows
+    start with an artificial variable.
 
     On either route a candidate is only returned after replaying it
     through apply_post_processing and checking every reconstructed effect

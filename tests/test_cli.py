@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -560,6 +564,45 @@ def test_back_to_back_main_calls_share_no_state(tmp_path, capsys):
     assert main(["random", "state", "--dim", "2", "--seed", "0", "--json"]) == 0
     assert capsys.readouterr().out == unseeded
 
+
+
+class _ClosedPipe(io.StringIO):
+    # a standard output whose reader has gone: every write fails
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("flags", [["--json"], []], ids=["json", "plain"])
+def test_closed_stdout_exits_141_quietly(tmp_path, capsys, monkeypatch, flags):
+    path = _write(tmp_path, "A.json", random_povm(4, 3, 7))
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert main(["equiv", path, path] + flags) == 141
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_exits_141_quietly_in_a_subprocess(tmp_path, unbuffered):
+    # buffered, the report fails at the flush in main and again at exit
+    # unless the descriptor is redirected; unbuffered, at the first print
+    path = _write(tmp_path, "A.json", random_povm(4, 3, 7))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "instrorder", "equiv", path, path, "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
 
 _HEADER_MUTATIONS = [
     ("kind", ["povm"], "document.kind: expected a string"),

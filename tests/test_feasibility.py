@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -130,31 +132,47 @@ def test_ratio_test_tie_breaks(A, b, vertex):
     assert np.allclose(x, vertex, rtol=0.0, atol=1e-12)
 
 
-def _full_tableau_solve(A, b, feas_tol=1e-9, pivot_tol=1e-11):
+def _full_tableau_solve(A, b, feas_tol=1e-9, pivot_tol=1e-11, bland_after=None):
     # reference: the tableau [B⁻¹A | B⁻¹ | B⁻¹b] with the artificial block
-    # kept and updated, and the pivot rules written as loops: the most
-    # negative reduced cost enters (first on a tie)
+    # kept and updated, and the pivot rules written as loops: each row's
+    # first slack column (its one nonzero entry positive, above pivot_tol)
+    # starts basic, the other rows start artificial; the most negative
+    # reduced cost enters (first on a tie) until bland_after (default m)
+    # pivots in a row had minimum ratio 0, Bland's rule from then on
     m, n = A.shape
+    bland_after = m if bland_after is None else bland_after
     flip = np.where(b < 0, -1.0, 1.0)
     A, b = A * flip[:, None], b * flip
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n], T[:m, n : n + m], T[:m, -1] = A, np.eye(m), b
-    T[m, :n], T[m, -1] = -A.sum(axis=0), -b.sum()
     basis = list(range(n, n + m))
+    for i in range(m):
+        for j in range(n):
+            if A[i, j] > pivot_tol and np.count_nonzero(A[:, j]) == 1:
+                T[i] /= A[i, j]
+                T[m, n + i] = 1.0  # the reduced cost of a nonbasic artificial
+                basis[i] = j
+                break
+    artificial = [i for i in range(m) if basis[i] >= n]
+    T[m, :n], T[m, -1] = -A[artificial].sum(axis=0), -b[artificial].sum()
+    degenerate, bland = 0, False
     while -T[m, -1] > feas_tol:
+        bland = bland or degenerate >= bland_after
         negative = [j for j in range(n) if T[m, j] < -pivot_tol]
         if not negative:
             break
-        enter = min(negative, key=lambda j: T[m, j])
+        enter = negative[0] if bland else min(negative, key=lambda j: T[m, j])
         col = T[:m, enter]
         eligible = col > pivot_tol
         rhs_col = np.clip(T[:m, -1], 0.0, None)
         ratios = np.where(eligible, rhs_col / np.where(eligible, col, 1.0), np.inf)
+        degenerate = degenerate + 1 if ratios.min() == 0.0 else 0
         slack = ratios.min() + 1e-13 * (1.0 + ratios.min())
-        leave = max(
-            (i for i in range(m) if eligible[i] and ratios[i] <= slack),
-            key=lambda i: (col[i], -basis[i]),
-        )
+        near = [i for i in range(m) if eligible[i] and ratios[i] <= slack]
+        if bland:
+            leave = min(near, key=lambda i: basis[i])
+        else:
+            leave = max(near, key=lambda i: (col[i], -basis[i]))
         T[leave] /= T[leave, enter]
         other = T[:, enter].copy()
         other[leave] = 0.0
@@ -170,10 +188,10 @@ def _full_tableau_solve(A, b, feas_tol=1e-9, pivot_tol=1e-11):
 
 
 def _degenerate_system(m):
-    # b = e₁ keeps almost every basic value at zero, so the pivots from the
-    # artificial basis stay degenerate for a long run; columns 0 and m-1
-    # are e₁ and 2e₁, two vertices x₀ = 1 and x_{m-1} = 1/2 that the pivot
-    # path chooses between
+    # b = e₁ keeps almost every basic value at zero; columns 0 and m-1 are
+    # e₁ and 2e₁, two vertices x₀ = 1 and x_{m-1} = 1/2.  Column 0 is the
+    # slack column of row 0, so the slack start is already the vertex x₀ = 1
+    # and takes no pivot
     A = _gaussians(0, m * m).reshape(m, m)
     A[:, 0] = A[:, -1] = 0.0
     A[0, 0], A[0, -1] = 1.0, 2.0
@@ -182,7 +200,22 @@ def _degenerate_system(m):
     return A, b
 
 
-def test_matches_full_tableau_bitwise():
+def _paired_degenerate_system(m):
+    # the same b = e₁, but columns 0 and m-1 are e₁ + e₂ and e₁ - e₂, so no
+    # column is a slack column and x₀ = x_{m-1} = 1/2 is reached only after
+    # a long run of degenerate pivots: 46 in a row for m = 64, under the
+    # m that starts Bland's rule
+    A = _gaussians(0, m * m).reshape(m, m)
+    A[:, 0] = A[:, -1] = 0.0
+    A[0, 0] = A[0, -1] = A[1, 0] = 1.0
+    A[1, -1] = -1.0
+    b = np.zeros(m)
+    b[0] = 1.0
+    return A, b
+
+
+def _tableau_systems():
+    systems = []
     for seed in range(240):
         m = 2 + seed % 6
         n = 1 + seed % 9
@@ -192,13 +225,20 @@ def test_matches_full_tableau_bitwise():
         else:
             A = _gaussians(seed, m * n).reshape(m, n)
             b = A @ _uniforms(seed + 1, n) if seed % 3 == 1 else _gaussians(seed + 2, m)
+        systems.append((A, b))
+    return systems
+
+
+def test_matches_full_tableau_bitwise():
+    for A, b in _tableau_systems():
         x = solve_nonnegative(A, b)
         ref = _full_tableau_solve(A, b)
         assert (x is None) == (ref is None)
         if ref is not None:
             assert x.tobytes() == ref.tobytes()
-    # a run of 41 degenerate pivots before the path reaches a vertex
     A, b = _degenerate_system(64)
+    assert solve_nonnegative(A, b).tobytes() == _full_tableau_solve(A, b).tobytes()
+    A, b = _paired_degenerate_system(64)
     assert solve_nonnegative(A, b).tobytes() == _full_tableau_solve(A, b).tobytes()
 
 
@@ -278,3 +318,117 @@ def test_matches_full_tableau_on_the_library_lps(A, B, reachable, monkeypatch):
             stops += 1
             assert x.tobytes() == ref.tobytes()
     assert stops >= 4
+
+
+def _records(caplog):
+    return [r for r in caplog.records if r.name == "instrorder.feasibility"]
+
+
+def test_slack_columns_in_every_row_take_no_pivot(caplog):
+    caplog.set_level(logging.DEBUG, logger="instrorder.feasibility")
+    # columns 1 and 3 are slack columns of rows 1 and 0 (column 4 is one of
+    # row 1 too, but column 1 comes first); b₂ < 0 flips row 2, so column 5
+    # becomes its slack column and column 2, now negative there, is none
+    A = np.array(
+        [
+            [1.0, 0.0, 0.0, 4.0, 0.0, 0.0],
+            [2.0, 0.5, 0.0, 0.0, 3.0, 0.0],
+            [-1.0, 0.0, 2.0, 0.0, 0.0, -5.0],
+        ]
+    )
+    b = np.array([2.0, 1.0, -3.0])
+    x = solve_nonnegative(A, b)
+    (record,) = _records(caplog)
+    assert (record.shape, record.artificials, record.pivots, record.bland) == ((3, 6), 0, 0, False)
+    assert record.objective == 0.0
+    assert x.tobytes() == _full_tableau_solve(A, b).tobytes()
+    assert x.tobytes() == np.array([0.0, 2.0, 0.0, 0.5, 0.0, 0.6]).tobytes()
+
+
+@pytest.mark.parametrize("A, B, reachable", _library_lps())
+def test_library_lps_start_with_the_row_sum_rows_feasible(A, B, reachable, monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="instrorder.feasibility")
+    nu, systems = _systems_of(A, B, monkeypatch)
+    ((M, _, _),) = systems
+    (record,) = _records(caplog)
+    # only the target blocks' rows start artificial: the last block is left
+    # out, so each row-sum row has ν_{x, n_b-1} as its slack column
+    assert record.shape == M.shape
+    assert record.artificials == M.shape[0] - len(A)
+    assert record.pivots > 0 and not record.bland
+    assert (record.objective <= 1e-9) == reachable == (nu is not None)
+
+
+def test_one_debug_record_per_solve_and_no_handler(caplog):
+    caplog.set_level(logging.DEBUG, logger="instrorder.feasibility")
+    A, b = _paired_degenerate_system(64)
+    assert solve_nonnegative(A, b) is not None
+    assert solve_nonnegative(np.zeros((2, 3)), np.array([1.0, 0.0])) is None
+    feasible, infeasible = _records(caplog)
+    assert feasible.levelno == logging.DEBUG
+    assert (feasible.shape, feasible.artificials, feasible.pivots) == ((64, 64), 64, 47)
+    assert not feasible.bland  # the longest run of zero ratios stays under 64
+    assert "(64, 64): 64 artificials, 47 pivots" in feasible.getMessage()
+    assert (infeasible.shape, infeasible.artificials, infeasible.pivots) == ((2, 3), 2, 0)
+    assert infeasible.objective == 1.0
+    assert logging.getLogger("instrorder.feasibility").handlers == []
+    assert logging.getLogger("instrorder").handlers == []
+
+
+def test_bland_fallback_keeps_the_verdicts(monkeypatch, caplog):
+    # Bland's rule from the first pivot: x still matches the reference's
+    # Bland path to the bit, and the verdicts still match HiGHS
+    caplog.set_level(logging.DEBUG, logger="instrorder.feasibility")
+    monkeypatch.setattr(feasibility, "_BLAND_AFTER", 0)
+    systems = _tableau_systems() + [_degenerate_system(64), _paired_degenerate_system(64)]
+    for A, b in systems:
+        x = solve_nonnegative(A, b)
+        ref = _full_tableau_solve(A, b, bland_after=0)
+        assert (x is None) == (ref is None)
+        if ref is not None:
+            assert x.tobytes() == ref.tobytes()
+            assert np.linalg.norm(A @ x - b) < 1e-8
+        assert (x is not None) == _oracle_feasible(A, b)
+    records = _records(caplog)
+    assert len(records) == len(systems)
+    assert all(r.bland for r in records if r.pivots > 0)
+    assert records[-1].pivots > 0
+    for param in _library_lps():
+        A, B, reachable = param.values
+        caplog.clear()
+        nu, ((M, rhs, feas_tol),) = _systems_of(A, B, monkeypatch)
+        assert (nu is not None) == reachable == _oracle_feasible(M, rhs)
+        (record,) = _records(caplog)
+        assert record.bland
+
+
+def _cycling_system():
+    # Hall and McKinnon's example of Dantzig's rule cycling (Math. Program.
+    # 100, 2004): maximize 2.3x₀ + 2.15x₁ − 13.55x₂ − 0.4x₃ over two rows
+    # with right-hand side 0 and slack columns 4 and 5.  The third row,
+    # c·x = 1, starts artificial, so its phase-1 reduced costs are −c; from
+    # the slack start the non-Bland rules pivot through six bases, every
+    # ratio 0, back to the start
+    A = np.array(
+        [
+            [0.4, 0.2, -1.4, -0.2, 1.0, 0.0],
+            [-7.8, -1.4, 7.8, 0.4, 0.0, 1.0],
+            [2.3, 2.15, -13.55, -0.4, 0.0, 0.0],
+        ]
+    )
+    return A, np.array([0.0, 0.0, 1.0])
+
+
+def test_bland_fallback_ends_a_cycle(monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger="instrorder.feasibility")
+    A, b = _cycling_system()
+    x = solve_nonnegative(A, b)
+    (record,) = _records(caplog)
+    assert record.bland and record.pivots == 6
+    assert x.tobytes() == _full_tableau_solve(A, b).tobytes()
+    assert np.linalg.norm(A @ x - b) < 1e-12 and _oracle_feasible(A, b)
+    # without the fallback the same rules never leave the cycle
+    monkeypatch.setattr(feasibility, "_BLAND_AFTER", 10**9)
+    monkeypatch.setattr(feasibility, "_MAX_ITER", 600)
+    with pytest.raises(SolverError, match="iteration limit"):
+        solve_nonnegative(A, b)
