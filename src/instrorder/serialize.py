@@ -9,7 +9,14 @@ matrix straight from a float64 (rows, cols, 2) numpy array, so no Python
 float or list is built per entry.  Its number notation is orjson's: 0.00001
 for 1e-05 and 1e16 for 1e+16, the same doubles in any JSON reader.  orjson
 would write NaN and infinities as null, so save refuses non-finite values
-with a ValueError naming the field, before the file is opened.
+with a ValueError naming the field, before the file is opened.  save never
+holds a whole document's text.  A walk over the body's dicts and lists
+encodes every key and every other leaf with orjson before the file is
+opened, so whatever orjson would refuse (a key that is not a str, a lone
+surrogate) raises and leaves an existing file unchanged; each finite
+C-contiguous float64 array, which orjson cannot refuse, is encoded as it is
+written.  The file holds the bytes one orjson.dumps of the body would give,
+and encode reads back the same parts joined.
 
 load reads the file's bytes and lifts out every matrix, compact or
 indented: one regex scan, which skips JSON strings, stops at each [[[ that
@@ -18,20 +25,25 @@ between the brackets).  A candidate is a matrix when no number stands
 right after ], ], or ]],[ (outside its [re, im] pair), its text with the
 number characters and whitespace deleted is exactly the bracket-and-comma
 skeleton of a rows x cols matrix of pairs, and orjson parses its numbers,
-brackets removed, as one flat list; that skips the Python list per
-[re, im] pair that a nested parse builds.  Each matrix becomes its float64
-(rows, cols, 2) array and leaves a placeholder [[[k]]] in the text.  If
-any candidate is not a matrix (a malformed one, a number orjson refuses,
-or a [[[0]]] written in the file itself), nothing is lifted, so every
-[[[k]]] in a lifted text is a placeholder.  The standard json module
-parses the lifted text once, and an object_hook puts each array back
-where its placeholder stands as an effect, matrix or choi field or an
-entry of a kraus list.  load parses the file's own UTF-8 text instead
-when nothing was lifted, when the lifted text is not valid JSON (so the
-error names the file's own line and column), when a placeholder stands
-where no matrix belongs, and for a report, which is free JSON.  Either
-way decode runs once, on a tree whose matrices are arrays or the lists
-json gives, and names every fault as it would on the plain tree.
+brackets removed, as flat lists; that skips the Python list per [re, im]
+pair that a nested parse builds.  It parses them in blocks of about 16 KB
+of text, each cut at a ],[ (an indented matrix has none and is one block),
+into one preallocated float64 (rows, cols, 2) array, so only one block's
+numbers are Python floats at a time.  In a timing on a 12 MB witness,
+blocks of 8-64 KB loaded it equally fast, 4 KB blocks and whole matrices
+more slowly; the smaller the block, the fewer floats are alive, so it is
+16 KB, one step from the slow end.  Each matrix leaves a placeholder
+[[[k]]] in the text.  If any candidate is not a matrix (a malformed one, a
+number orjson refuses, or a [[[0]]] written in the file itself), nothing
+is lifted, so every [[[k]]] in a lifted text is a placeholder.  The
+standard json module parses the lifted text once, and an object_hook puts
+each array back where its placeholder stands as an effect, matrix or choi
+field or an entry of a kraus list.  load parses the file's own UTF-8 text
+instead when nothing was lifted, when the lifted text is not valid JSON
+(so the error names the file's own line and column), when a placeholder
+stands where no matrix belongs, and for a report, which is free JSON.
+Either way decode runs once, on a tree whose matrices are arrays or the
+lists json gives, and names every fault as it would on the plain tree.
 
 Parsing is strict: unknown fields, wrong shapes, leaves that are not JSON
 numbers (true, "0.5", null), non-finite numbers (NaN, Infinity or values
@@ -392,8 +404,56 @@ def _non_finite(obj):
     return None
 
 
-def _dumps(doc: Document) -> bytes:
-    """The document's compact JSON text and a newline, as UTF-8 bytes."""
+# orjson refuses a container nested this deep or deeper.
+_ORJSON_DEPTH = 255
+
+
+def _writes_late(value):
+    """True for an array orjson cannot fail to encode once it is finite:
+    C-contiguous float64 with at least one axis."""
+    return (
+        type(value) is np.ndarray
+        and value.dtype == np.float64
+        and value.ndim > 0
+        and value.flags.c_contiguous
+    )
+
+
+def _walk(value, depth, parts, text):
+    """Append value's compact JSON text to text, the bytes since the last
+    array of parts; a _writes_late array moves text and itself to parts."""
+    # As in orjson, every container counts towards the depth, but only
+    # dicts and lists (subclasses too) are refused past the limit.
+    if isinstance(value, (dict, list)) and depth >= _ORJSON_DEPTH:
+        raise orjson.JSONEncodeError("Recursion limit reached")
+    if isinstance(value, dict):
+        text.append(b"{")
+        for i, (key, item) in enumerate(value.items()):
+            # orjson checks the key as it does inside the body; the text of
+            # {key: null} less its { and null} is "key":
+            text.extend((b"," if i else b"", orjson.dumps({key: None})[1:-5]))
+            _walk(item, depth + 1, parts, text)
+        text.append(b"}")
+    elif isinstance(value, list) or type(value) is tuple:
+        text.append(b"[")
+        for i, item in enumerate(value):
+            if i:
+                text.append(b",")
+            _walk(item, depth + 1, parts, text)
+        text.append(b"]")
+    elif _writes_late(value):
+        parts.extend((b"".join(text), value))
+        text.clear()
+    else:
+        text.append(orjson.dumps(value, option=orjson.OPT_SERIALIZE_NUMPY))
+
+
+def _parts(doc: Document) -> list:
+    """The document's compact JSON text and a newline, as the bytes
+    orjson.dumps(body) would give, cut into parts: bytes, and each
+    _writes_late array in its place, still unencoded.  Everything else is
+    encoded here, so whatever orjson would refuse (a key that is not a str,
+    a lone surrogate, too deep a nesting) raises now."""
     if doc.kind not in _FORMATS:
         raise ValueError(f"unknown document kind {doc.kind!r}")
     body = {"kind": doc.kind, "version": VERSION, **_FORMATS[doc.kind][1](doc.payload)}
@@ -401,12 +461,19 @@ def _dumps(doc: Document) -> bytes:
     bad = _non_finite(body)
     if bad is not None:
         raise ValueError(f"{doc.kind}{bad}: expected finite numbers")
-    return orjson.dumps(body, option=orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE)
+    parts, text = [], []
+    _walk(body, 0, parts, text)
+    parts.append(b"".join(text) + b"\n")
+    return parts
+
+
+def _text(part) -> bytes:
+    return part if type(part) is bytes else orjson.dumps(part, option=orjson.OPT_SERIALIZE_NUMPY)
 
 
 def encode(doc: Document) -> dict:
     """The JSON-native object (dicts, lists, str, int, float) save writes."""
-    return orjson.loads(_dumps(doc))
+    return orjson.loads(b"".join(map(_text, _parts(doc))))
 
 
 def decode(obj) -> Document:
@@ -432,10 +499,13 @@ def decode(obj) -> Document:
 def save(doc: Document, path) -> None:
     if not isinstance(doc, Document):
         doc = document_for(doc)
-    # Encoded before open, so a failed encode leaves the file intact.
-    data = _dumps(doc)
+    # Every part but the finite float64 arrays is encoded before open, so a
+    # failed encode leaves the file intact; each array's text is built as it
+    # is written.
+    parts = _parts(doc)
     with open(path, "wb") as fh:
-        fh.write(data)
+        for part in parts:
+            fh.write(_text(part))
 
 
 # One pass over a document's bytes stops at each JSON string, which is
@@ -451,6 +521,8 @@ _SCAN = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"|\[\s*\[\s*\[\s*(?=[-0-9])', re.DO
 _END = re.compile(rb"\](?!,\[)\s*(?:\]\s*(?:\]|,\s*\[\s*N)|,\s*N|N)".replace(b"N", rb"[-+.0-9eE]"))
 _QUOTE = ord('"')
 _NUMBER_AND_SPACE_BYTES = b"0123456789.-+eE \t\n\r"
+# Bytes of matrix text orjson parses at a time (see the module docstring).
+_BLOCK = 1 << 14
 
 
 def _skeleton(rows, cols):
@@ -468,13 +540,25 @@ def _matrix_pairs(text):
     rows = (len(skeleton) - 1) // (4 * cols + 2) if cols > 0 else 0
     if rows < 1 or skeleton != _skeleton(rows, cols):
         return None
-    try:
-        # Only digits, .-+eE, commas and whitespace are left, so every value
-        # orjson returns is an int or a float.
-        values = orjson.loads(b"[" + text.replace(b"[", b"").replace(b"]", b"") + b"]")
-    except orjson.JSONDecodeError:  # a malformed number, or one past the float range
-        return None
-    return np.array(values, dtype=float).reshape(rows, cols, 2)
+    pairs = np.empty(rows * cols * 2)
+    filled = start = 0
+    while start < len(text):
+        # A block ends at a ], that closes a pair, so no number is cut.
+        cut = text.find(b"],[", start + _BLOCK)
+        end = len(text) if cut < 0 else cut + 1
+        try:
+            # Only digits, .-+eE, commas and whitespace are left, so every
+            # value orjson returns is an int or a float.
+            values = orjson.loads(b"[" + text[start:end].replace(b"[", b"").replace(b"]", b"") + b"]")
+        except orjson.JSONDecodeError:  # a malformed number, or one past the float range
+            return None
+        block = pairs[filled : filled + len(values)]
+        if len(block) != len(values):
+            return None
+        block[:] = values
+        filled += len(values)
+        start = end + 1  # past the comma
+    return pairs.reshape(rows, cols, 2) if filled == len(pairs) else None
 
 
 def _lift(data):
