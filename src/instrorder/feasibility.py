@@ -13,7 +13,8 @@ row divided by the entry, so that row starts feasible.  Only the other
 rows get an artificial variable, and the phase-1 objective sums only
 those rows; a system whose every row has a slack column takes no pivot.
 In find_post_processing's LP the columns nu_{x, n_b−1} are slack columns
-of the n_a row-sum rows.
+of the n_a row-sum rows, and in its one-outcome relaxation the columns s
+and t are those of the bound rows and the budget row.
 
 Pricing is Dantzig's rule: the entering column has the most negative
 reduced cost, the first such column on a tie.  The leaving row is the
@@ -25,7 +26,7 @@ rest of the solve: the smallest-index column with a negative reduced cost
 enters, and the smallest basis index among the near-minimum rows leaves.
 _MAX_ITER pivots still end the search with SolverError.
 
-On the tableaux find_post_processing builds (about 20×30 to 80×130) a
+On the tableaux find_post_processing builds (about 10×20 to 80×130) a
 pivot costs numpy call overhead more than arithmetic, so each pivot makes
 few calls: one argmin over the objective row (a second, masked search
 only when that argmin finds no negative cost or stops at a NaN), ratios
@@ -49,8 +50,12 @@ library adds no handler.
 
 find_post_processing calls it only when the source effects are linearly
 dependent (n_a > r = dim span), or when its direct solve fails the replay
-check; the LP then has n_a·n_b variables × (n_b − 1)·r + n_a rows, for
-example 128 × 44 for 16 qubit effects and 8 target outcomes.
+check.  It then solves, when B has n_b ≥ 3 outcomes, first the relaxation
+for B's first outcome alone: r + n_a + 1 rows × 2n_a + r + 1 variables,
+of which r rows start artificial, for example 21 × 37 for 16 qubit
+effects.  Only if that is feasible does it solve the LP: (n_b − 1)·r + n_a
+rows × n_a·n_b variables, (n_b − 1)·r of the rows artificial, for example
+44 × 128 for 16 qubit effects and 8 target outcomes.
 """
 
 from __future__ import annotations

@@ -5,11 +5,15 @@ effects on a fixed finite-dimensional space.  B is a post-processing of A
 when there is a row-stochastic matrix ν with B(y) = Σ_x ν_xy A(x); deciding
 that is a linear feasibility problem, posed in coordinates of the span of
 A's effects.  When those effects are linearly independent ν is unique and
-one linear solve decides; otherwise the phase-1 simplex does.
+one linear solve decides.  Otherwise the phase-1 simplex does: first on
+B's first outcome alone, whose "no" needs no more, then on the whole LP.
+Each question logs one DEBUG record on this module's logger; the library
+adds no handler.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -23,6 +27,14 @@ from .linalg import DEFAULT_TOL, Tolerance, frob_dist, hermitize, is_hermitian, 
 # only absorbs float64 rounding in its entries and row sums (and in the
 # mixture weights instrument.check_weights accepts).
 _STOCH_TOL = 1e-12
+
+# ε, the weight of the residual columns in find_post_processing's
+# one-outcome relaxation.  It scales their reduced costs, so Dantzig's rule
+# prefers the columns of nu; it changes no feasible set, so it is no
+# Tolerance.
+_RESIDUAL_WEIGHT = 1e-3
+
+logger = logging.getLogger(__name__)
 
 
 def first_index(labels) -> dict:
@@ -228,9 +240,34 @@ def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
     the n_a row-sum rows start feasible and only the (n_b − 1)·r block rows
     start with an artificial variable.
 
-    On either route a candidate is only returned after replaying it
+    Before that LP is built, when n_b ≥ 3, the relaxation for B's first
+    outcome alone can answer "no".  The simplex negates each row whose
+    right-hand side is negative, and its phase-1 objective sums the
+    residuals of the artificial rows, each ≥ 0 in that orientation.  The
+    relaxation asks for nu_·0 ∈ [0, 1]^{n_a} whose block-0 residuals c_B(0)
+    − C_A nu_·0, so oriented, are ≥ 0 and sum to at most feas_tol.  Every
+    column of a stochastic nu lies in that box, and wherever the LP's
+    simplex stops with an objective within feas_tol, its block 0 meets
+    that.  So a relaxation that the simplex finds infeasible is, up to
+    rounding, a "no" the LP would give, whatever its pivot path.  The
+    residuals are budgeted by columns p (weighted by _RESIDUAL_WEIGHT) and
+    a budget row, rather than left to the artificial variables: those
+    never re-enter the basis, so on a pair within rounding of the boundary
+    the simplex could stop above feas_tol at a basis where the optimum lies
+    below it.  With the budget such a pair is exactly feasible, and the
+    simplex reaches it.  The relaxation is (r + n_a + 1) × (2n_a + r + 1),
+    for example 21 × 37 where the LP is 44 × 128 (16 qubit effects, 8
+    target outcomes), and only its r coordinate rows start artificial.  At
+    n_b = 2 the LP is the relaxation without the budget.  A pair the
+    relaxation does not refute goes on to the LP, so every "yes" comes
+    from the LP alone.
+
+    On every route a candidate is only returned after replaying it
     through apply_post_processing and checking every reconstructed effect
-    against B within tol.eq_abs.
+    against B within tol.eq_abs.  The DEBUG record on instrorder.povm sets
+    the fields route ("span", "direct", "relaxation" or "lp"), answer
+    (whether nu was found) and shape (of the decisive system on the two LP
+    routes, else None).
     """
     if A.dim != B.dim:
         raise DimensionMismatch(f"POVMs act on different spaces: {A.dim} vs {B.dim}")
@@ -243,19 +280,37 @@ def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
     coords_a = Q.T @ vec_a
     coords_b = Q.T @ vec_b
     if np.linalg.norm(vec_b - Q @ coords_b, axis=0).max(initial=0.0) > tol.eq_abs:
-        return None
+        return _answer("span", None)
 
     r = Q.shape[1]
     if 0 < r == n_a and n_b > 0:
         nu_star = np.linalg.solve(coords_a, coords_b)
         if nu_star.min() < -2.0 * tol.eq_abs / s[r - 1]:
-            return None
+            return _answer("direct", None)
         entries = np.clip(nu_star, 0.0, None)
         sums = entries.sum(axis=1, keepdims=True)
         if sums.min() > 0.0:  # a zero row would renormalize to NaN, which no replay rejects
             nu = _replayed(A, B, entries / sums, tol)
             if nu is not None:
-                return nu
+                return _answer("direct", nu)
+
+    scale = max(1.0, np.linalg.norm(vec_a, axis=0).max(initial=0.0))
+    feas_tol = tol.eq_abs / scale
+    if n_b >= 3:
+        # B(0) alone, its residuals budgeted to feas_tol:
+        # [C_A 0 εD 0; I I 0 0; 0 0 1ᵀ 1]·[nu_·0; s; p; t]
+        # = [c_B(0); 1; feas_tol / ε], where D = diag(±1) orients each p
+        # as the simplex orients its row.  s and t are slack columns of the
+        # bound and budget rows, so only the r coordinate rows start
+        # artificial.
+        M = np.zeros((r + n_a + 1, 2 * n_a + r + 1))
+        M[:r, :n_a] = coords_a
+        M[:r, 2 * n_a : -1] = np.diag(np.where(coords_b[:, 0] < 0, -_RESIDUAL_WEIGHT, _RESIDUAL_WEIGHT))
+        M[r:-1, : 2 * n_a] = np.tile(np.eye(n_a), 2)
+        M[-1, 2 * n_a :] = 1.0
+        rhs = np.concatenate([coords_b[:, 0], np.ones(n_a), [feas_tol / _RESIDUAL_WEIGHT]])
+        if solve_nonnegative(M, rhs, feas_tol) is None:
+            return _answer("relaxation", None, M.shape)
 
     blocks = max(n_b - 1, 0)
     M = np.zeros((blocks * r + n_a, n_a * n_b))  # nu[x, y] at column x * n_b + y
@@ -265,12 +320,18 @@ def find_post_processing(A: Povm, B: Povm, tol: Tolerance = DEFAULT_TOL):
         rhs[y * r : (y + 1) * r] = coords_b[:, y]
     M[blocks * r :] = np.kron(np.eye(n_a), np.ones(n_b))
 
-    scale = max(1.0, np.linalg.norm(vec_a, axis=0).max(initial=0.0))
-    sol = solve_nonnegative(M, rhs, feas_tol=tol.eq_abs / scale)
+    sol = solve_nonnegative(M, rhs, feas_tol=feas_tol)
     if sol is None:
-        return None
+        return _answer("lp", None, M.shape)
     entries = sol.reshape(n_a, n_b)  # already ≥ 0
-    return _replayed(A, B, entries / entries.sum(axis=1, keepdims=True), tol)
+    return _answer("lp", _replayed(A, B, entries / entries.sum(axis=1, keepdims=True), tol), M.shape)
+
+
+def _answer(route: str, nu, shape=None):
+    """Log how find_post_processing decided, then return its answer nu."""
+    stats = {"route": route, "answer": nu is not None, "shape": shape}
+    logger.debug("find_post_processing by %(route)s, shape %(shape)s: answer %(answer)s", stats, extra=stats)
+    return nu
 
 
 def _replayed(A: Povm, B: Povm, entries: np.ndarray, tol: Tolerance):

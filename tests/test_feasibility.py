@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from instrorder import Povm, apply_post_processing, feasibility, povm, random_povm
+from instrorder import Povm, apply_post_processing, feasibility, povm, random_povm, relabel
 from instrorder.errors import SolverError
 from instrorder.feasibility import solve_nonnegative
+from instrorder.linalg import DEFAULT_TOL
+from instrorder.povm import _vec_hermitian
 from instrorder.randgen import _gaussians, _uniforms
 
-from helpers import random_stochastic
+from helpers import find_post_processing_lp, random_stochastic
 
 
 def _oracle_feasible(A, b):
@@ -263,7 +265,10 @@ def test_edge_shapes(A, b, expected):
 
 
 def _systems_of(A, B, monkeypatch):
-    # the (M, rhs, feas_tol) that find_post_processing hands to the solver
+    # the (M, rhs, feas_tol) that find_post_processing hands to the solver:
+    # the one-outcome relaxation when B has three or more outcomes, then the
+    # full LP unless the relaxation refuted the pair (None for a system the
+    # search did not build)
     systems = []
 
     def record(M, rhs, feas_tol):
@@ -271,19 +276,21 @@ def _systems_of(A, B, monkeypatch):
         return solve_nonnegative(M, rhs, feas_tol)
 
     monkeypatch.setattr(povm, "solve_nonnegative", record)
-    return povm.find_post_processing(A, B), systems
+    nu = povm.find_post_processing(A, B)
+    relaxation = systems.pop(0) if len(B) >= 3 else None
+    full = systems.pop(0) if systems else None
+    assert not systems
+    return nu, relaxation, full
 
 
-def _library_lps():
-    cases = []
-    for d, n_a, n_b, seed in ((2, 16, 8, 11), (3, 12, 8, 12)):  # n_a > d²: dependent effects
-        A = random_povm(n_a, d, seed)
-        nu = random_stochastic(A.labels, [str(y) for y in range(n_b)], seed + 1)
-        cases.append(pytest.param(A, apply_post_processing(A, nu), True, id=f"d={d}-{n_a}-{n_b}-yes"))
+def _rank(A):
+    return int(np.linalg.matrix_rank(_vec_hermitian(A.effects)))
+
+
+def _in_span_no(A, n_b, seed):
     # in the span but no coarse-graining: one entry of a stochastic ν pushed
     # below zero by half of what keeps B(0) positive semidefinite
-    A = random_povm(8, 2, 12)
-    nu = random_stochastic(A.labels, ["0", "1", "2", "3"], 13).entries
+    nu = random_stochastic(A.labels, [str(y) for y in range(n_b)], seed).entries
     rest = sum(nu[x, 0] * E for x, E in enumerate(A.effects) if x > 0)
     room = np.linalg.eigvalsh(rest).min() / np.linalg.eigvalsh(A.effects[0]).max()
     shift = nu[0, 0] + 0.5 * room
@@ -291,21 +298,28 @@ def _library_lps():
     nu[0, 1] += shift
     effects = np.einsum("xy,xij->yij", nu, np.array(A.effects))
     assert min(np.linalg.eigvalsh(E).min() for E in effects) >= 0.0
-    B = Povm(2, [(str(y), E) for y, E in enumerate(effects)])
-    cases.append(pytest.param(A, B, False, id="d=2-8-4-in-span-no"))
+    return Povm(A.dim, [(str(y), E) for y, E in enumerate(effects)])
+
+
+def _library_lps():
+    # the route find_post_processing takes is the last value
+    cases = []
+    for d, n_a, n_b, seed in ((2, 16, 8, 11), (3, 12, 8, 12)):  # n_a > d²: dependent effects
+        A = random_povm(n_a, d, seed)
+        nu = random_stochastic(A.labels, [str(y) for y in range(n_b)], seed + 1)
+        cases.append(pytest.param(A, apply_post_processing(A, nu), True, "lp", id=f"d={d}-{n_a}-{n_b}-yes"))
+    A = random_povm(8, 2, 12)
+    cases.append(pytest.param(A, _in_span_no(A, 4, 13), False, "relaxation", id="d=2-8-4-in-span-no"))
     return cases
 
 
-@pytest.mark.parametrize("A, B, reachable", _library_lps())
-def test_matches_full_tableau_on_the_library_lps(A, B, reachable, monkeypatch):
-    nu, systems = _systems_of(A, B, monkeypatch)
-    assert (nu is not None) == reachable
-    assert len(systems) == 1
-    M, rhs, feas_tol = systems[0]
+def _pins_full_tableau(M, rhs, feas_tol, feasible):
+    # the verdict matches the reference and HiGHS, and x matches the
+    # reference to the bit
     x = solve_nonnegative(M, rhs, feas_tol)
     ref = _full_tableau_solve(M, rhs, feas_tol)
-    assert (x is None) == (ref is None) == (not reachable) == (not _oracle_feasible(M, rhs))
-    if reachable:
+    assert (x is None) == (ref is None) == (not feasible) == (not _oracle_feasible(M, rhs))
+    if feasible:
         assert x.tobytes() == ref.tobytes()
     # a looser feas_tol stops the search at an earlier basis, so the x read
     # there pins a prefix of the pivot path, "no" systems included
@@ -318,6 +332,17 @@ def test_matches_full_tableau_on_the_library_lps(A, B, reachable, monkeypatch):
             stops += 1
             assert x.tobytes() == ref.tobytes()
     assert stops >= 4
+
+
+@pytest.mark.parametrize("A, B, reachable, route", _library_lps())
+def test_matches_full_tableau_on_the_library_lps(A, B, reachable, route, monkeypatch):
+    nu, relaxation, full = _systems_of(A, B, monkeypatch)
+    assert (nu is not None) == reachable
+    # the relaxation is feasible exactly when the full LP is built after it
+    _pins_full_tableau(*relaxation, feasible=full is not None)
+    assert (full is None) == (route == "relaxation")
+    if full is not None:
+        _pins_full_tableau(*full, feasible=reachable)
 
 
 def _records(caplog):
@@ -345,18 +370,105 @@ def test_slack_columns_in_every_row_take_no_pivot(caplog):
     assert x.tobytes() == np.array([0.0, 2.0, 0.0, 0.5, 0.0, 0.6]).tobytes()
 
 
-@pytest.mark.parametrize("A, B, reachable", _library_lps())
-def test_library_lps_start_with_the_row_sum_rows_feasible(A, B, reachable, monkeypatch, caplog):
+@pytest.mark.parametrize("A, B, reachable, route", _library_lps())
+def test_library_lps_start_with_the_row_sum_rows_feasible(A, B, reachable, route, monkeypatch, caplog):
     caplog.set_level(logging.DEBUG, logger="instrorder.feasibility")
-    nu, systems = _systems_of(A, B, monkeypatch)
-    ((M, _, _),) = systems
-    (record,) = _records(caplog)
-    # only the target blocks' rows start artificial: the last block is left
-    # out, so each row-sum row has ν_{x, n_b-1} as its slack column
-    assert record.shape == M.shape
-    assert record.artificials == M.shape[0] - len(A)
-    assert record.pivots > 0 and not record.bland
-    assert (record.objective <= 1e-9) == reachable == (nu is not None)
+    nu, relaxation, full = _systems_of(A, B, monkeypatch)
+    records = _records(caplog)
+    r, n_a, n_b = _rank(A), len(A), len(B)
+    # the relaxation: the bound rows have the columns s and the budget row
+    # has t as slack columns, so only the r coordinate rows start artificial
+    assert relaxation[0].shape == records[0].shape == (r + n_a + 1, 2 * n_a + r + 1)
+    assert records[0].artificials == r
+    if full is None:
+        assert len(records) == 1
+    else:
+        # only the target blocks' rows start artificial: the last block is
+        # left out, so each row-sum row has ν_{x, n_b-1} as its slack column
+        assert len(records) == 2
+        assert full[0].shape == records[1].shape == ((n_b - 1) * r + n_a, n_a * n_b)
+        assert records[1].artificials == (n_b - 1) * r
+        assert (records[1].objective <= 1e-9) == reachable == (nu is not None)
+    for record in records:
+        assert record.pivots > 0 and not record.bland
+    assert (records[0].objective <= 1e-9) == (full is not None)
+
+
+def _route_record(caplog):
+    (record,) = [r for r in caplog.records if r.name == "instrorder.povm"]
+    return record
+
+
+@pytest.mark.parametrize("A, B, reachable, route", _library_lps())
+def test_library_lps_log_their_route(A, B, reachable, route, caplog):
+    caplog.set_level(logging.DEBUG, logger="instrorder.povm")
+    nu = povm.find_post_processing(A, B)
+    record = _route_record(caplog)
+    r, n_a, n_b = _rank(A), len(A), len(B)
+    if route == "relaxation":
+        shape = (r + n_a + 1, 2 * n_a + r + 1)
+    else:
+        shape = ((n_b - 1) * r + n_a, n_a * n_b)
+    assert (record.levelno, record.route, record.answer, record.shape) == (logging.DEBUG, route, reachable, shape)
+    assert (nu is not None) == reachable
+    assert f"by {route}, shape {shape}: answer {reachable}" in record.getMessage()
+    assert logging.getLogger("instrorder.povm").handlers == []
+
+
+def _perturbed_relabeling(A, n_b, seed):
+    # B(y) = Σ_{x ≡ y mod n_b} A(x) + E_y with Hermitian E_y, Σ_y E_y = 0 and
+    # max_y ‖E_y‖_F = 0.3·eq_abs: the relabeling replays within eq_abs, so
+    # the right answer is "yes"
+    d = A.dim
+    G = _gaussians(seed, 2 * n_b * d * d).reshape(2, n_b, d, d)
+    G = G[0] + 1j * G[1]
+    E = G + G.conj().transpose(0, 2, 1)
+    E -= E.mean(axis=0)
+    E *= 0.3 * DEFAULT_TOL.eq_abs / np.linalg.norm(E, axis=(1, 2)).max()
+    B = relabel(A, lambda x: int(x) % n_b)
+    return Povm(d, [(label, effect + e) for (label, effect), e in zip(B.outcomes, E)])
+
+
+def _dependent_pairs():
+    # pairs on dependent effects (n_a > d²) of four kinds: a seeded
+    # coarse-graining, an independent random B, an in-span "no" as in
+    # _library_lps, and a relabeling perturbed within eq_abs
+    pairs = []
+    for seed in range(8):
+        for d, n_a, n_b in ((2, 6, 2), (2, 6, 3), (2, 8, 4), (2, 16, 8), (3, 11, 5), (3, 12, 8)):
+            A = random_povm(n_a, d, 1000 * seed + 7)
+            nu = random_stochastic(A.labels, [str(y) for y in range(n_b)], seed + 1)
+            pairs.append((A, apply_post_processing(A, nu)))
+            pairs.append((A, random_povm(n_b, d, 1000 * seed + 8)))
+            pairs.append((A, _in_span_no(A, n_b, seed + 2)))
+            pairs.append((A, _perturbed_relabeling(A, n_b, seed + 3)))
+    return pairs
+
+
+def test_relaxation_keeps_the_always_lp_answers(monkeypatch, caplog):
+    # every answer, and every "yes" ν to the bit, is the always-LP
+    # reference's, and every "no" of the relaxation is one the full LP gives
+    # as well, with an objective above feas_tol, and one HiGHS confirms
+    caplog.set_level(logging.DEBUG, logger="instrorder")
+    routes = set()
+    for A, B in _dependent_pairs():
+        caplog.clear()
+        nu, relaxation, full = _systems_of(A, B, monkeypatch)
+        record = _route_record(caplog)
+        caplog.clear()
+        ref = find_post_processing_lp(A, B)
+        (lp,) = _records(caplog)
+        assert (nu is None) == (ref is None)
+        if nu is not None:
+            assert nu.entries.tobytes() == ref.entries.tobytes()
+        assert (relaxation is not None) == (len(B) >= 3)
+        assert record.route == ("lp" if full is not None else "relaxation")
+        if full is None:
+            M, rhs, feas_tol = relaxation
+            assert lp.objective > feas_tol
+            assert not _oracle_feasible(M, rhs)
+        routes.add((record.route, record.answer))
+    assert routes == {("lp", True), ("lp", False), ("relaxation", False)}
 
 
 def test_one_debug_record_per_solve_and_no_handler(caplog):
@@ -394,12 +506,16 @@ def test_bland_fallback_keeps_the_verdicts(monkeypatch, caplog):
     assert all(r.bland for r in records if r.pivots > 0)
     assert records[-1].pivots > 0
     for param in _library_lps():
-        A, B, reachable = param.values
+        A, B, reachable, route = param.values
         caplog.clear()
-        nu, ((M, rhs, feas_tol),) = _systems_of(A, B, monkeypatch)
-        assert (nu is not None) == reachable == _oracle_feasible(M, rhs)
-        (record,) = _records(caplog)
-        assert record.bland
+        nu, relaxation, full = _systems_of(A, B, monkeypatch)
+        assert (nu is not None) == reachable
+        assert (full is not None) == (route == "lp") == _oracle_feasible(*relaxation[:2])
+        if full is not None:
+            assert reachable == _oracle_feasible(*full[:2])
+        records = _records(caplog)
+        assert len(records) == 1 + (full is not None)
+        assert all(r.bland for r in records)
 
 
 def _cycling_system():

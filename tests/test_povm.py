@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -286,7 +288,9 @@ def test_entry_just_below_zero_is_answered_and_replayed(monkeypatch):
     assert nu is not None
     assert max_effect_distance(apply_post_processing(A, nu), B) <= eq
 
-    # here clipping moves B(0) by 1.5·eq·‖A(0)‖_F / s_min > eq, so the LP runs
+    # here clipping moves B(0) by 1.5·eq·‖A(0)‖_F / s_min > eq, so an LP
+    # decides: the one-outcome relaxation, which already finds B(0) out of
+    # reach
     eps = 1.5 * eq / s_min
     assert -2.0 * eq / s_min < -eps
     B = _pushed_below_zero(A, eps, seed=6)
@@ -295,6 +299,34 @@ def test_entry_just_below_zero_is_answered_and_replayed(monkeypatch):
     assert (nu is None) == (find_post_processing_lp(A, B) is None)
     if nu is not None:
         assert max_effect_distance(apply_post_processing(A, nu), B) <= eq
+
+
+def test_find_logs_how_it_decided(caplog, monkeypatch):
+    # one DEBUG record per question on instrorder.povm; the LP routes are
+    # pinned on dependent effects in test_feasibility.py
+    caplog.set_level(logging.DEBUG, logger="instrorder.povm")
+    A = random_povm(4, 2, seed=1)  # independent, spanning every qubit effect
+    coarse = apply_post_processing(A, random_stochastic(A.labels, ["0", "1", "2"], 2))
+    cases = [
+        (random_povm(2, 2, seed=3), A, "span", False),  # two effects span a plane
+        (A, coarse, "direct", True),
+        (A, random_povm(3, 2, seed=2), "direct", False),
+    ]
+    for source, target, route, answer in cases:
+        caplog.clear()
+        assert (find_post_processing(source, target) is not None) == answer
+        (record,) = [r for r in caplog.records if r.name == "instrorder.povm"]
+        assert (record.levelno, record.route, record.answer, record.shape) == (logging.DEBUG, route, answer, None)
+    # a clipped nu* that fails its replay goes on to the LP routes; here
+    # B(0) alone is out of reach, so the one-outcome relaxation says no
+    calls = _count_lp(monkeypatch)
+    s_min = np.linalg.svd(_coords(A), compute_uv=False)[-1]
+    caplog.clear()
+    assert find_post_processing(A, _pushed_below_zero(A, 1.5 * DEFAULT_TOL.eq_abs / s_min, seed=6)) is None
+    (record,) = [r for r in caplog.records if r.name == "instrorder.povm"]
+    assert (record.route, record.answer, record.shape) == ("relaxation", False, (9, 13))
+    assert calls == [(9, 13)]  # r + n_a + 1 rows, 2·n_a + r + 1 columns
+    assert logging.getLogger("instrorder.povm").handlers == []
 
 
 def test_find_rejects_zero_target_without_nan():
